@@ -47,7 +47,6 @@ from .harness import (
     ProcessSpec,
     run_coverage,
     run_uniformity_sweep,
-    worker_count,
 )
 from .outcome import (
     Event,

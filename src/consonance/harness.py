@@ -23,17 +23,15 @@ the bound conservative.  Membership is then evaluated through the real
 region code paths for both the plain cut and the possibilistic cut, and
 the two are asserted identical trial by trial.
 
-Per-trial generators are seeded with (master seed, trial index), so trials
-are order-independent and may run on a thread pool; CONSONANCE_THREADS
-caps the worker count (default 1).
+Contours stay in rank form, ``k/(n+1)``, from the transducer through both
+region cuts, so no trial compares a Fraction with a float.  Per-trial
+generators are seeded with (master seed, trial index), so trials are
+order-independent.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import sqrt
 
@@ -45,9 +43,9 @@ from .region import cpr, ihdr_cut
 from .transducer import (
     Contour,
     NonconformityMeasure,
+    _rank,
     _sweep_mean_abs_grid,
     adjust_double_prime,
-    conformal_transducer,
     transduce_grid,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "CoverageReport",
     "run_coverage",
     "run_uniformity_sweep",
-    "worker_count",
 ]
 
 _FAMILIES = ("iid-categorical", "iid-gaussian", "iid-poisson", "polya-urn")
@@ -171,15 +168,6 @@ class CoverageReport:
     passed: bool
 
 
-def worker_count() -> int:
-    """Thread budget from CONSONANCE_THREADS; at least 1."""
-    raw = os.environ.get("CONSONANCE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _default_psi(spec: ProcessSpec) -> NonconformityMeasure:
     if spec.is_label:
         return NonconformityMeasure.one_minus_emp()
@@ -206,7 +194,7 @@ def _numeric_trial(spec, n, alpha, psi, rng) -> bool:
     data, held = seq[:n], float(seq[n])
     if n == 0:
         space = FiniteOutcomeSpace((held,))
-        contour = Contour(space, (Fraction(1),), provenance="raw")
+        contour = Contour.from_ranks(space, (1,), 1, provenance="raw")
         return _member_both_ways(contour, 0, alpha)
 
     mean = float(data.mean())
@@ -218,12 +206,11 @@ def _numeric_trial(spec, n, alpha, psi, rng) -> bool:
     held_idx = int(np.nonzero(cands == held)[0][0])
 
     if psi.kind == "mean-abs-distance":
-        counts = _sweep_mean_abs_grid(data, cands)
-        values = tuple(Fraction(int(k), n + 1) for k in counts)
+        ranks = _sweep_mean_abs_grid(data, cands)
     else:
-        values = tuple(conformal_transducer(data, c, psi) for c in cands)
-    space = FiniteOutcomeSpace(tuple(float(c) for c in cands))
-    contour = Contour(space, values, provenance="raw")
+        ranks = [_rank(data, c, psi) for c in cands]
+    space = FiniteOutcomeSpace(tuple(cands.tolist()))
+    contour = Contour.from_ranks(space, ranks, n + 1, provenance="raw")
     return _member_both_ways(contour, held_idx, alpha)
 
 
@@ -250,8 +237,7 @@ def run_coverage(
     Each trial checks the held-out point through both region constructions
     and counts a hit when it is covered.  Pass means empirical coverage at
     least (1 - alpha) - 3 * standard error; that reading is meaningful for
-    trials >= 1000.  Deterministic for a given (spec, n, alpha, seed),
-    independent of worker count.
+    trials >= 1000.  Deterministic for a given (spec, n, alpha, seed).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -269,12 +255,7 @@ def run_coverage(
             return _label_trial(spec, space, n, alpha, psi, rng)
         return _numeric_trial(spec, n, alpha, psi, rng)
 
-    workers = worker_count()
-    if workers == 1:
-        hits = sum(one_trial(t) for t in range(trials))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(one_trial, range(trials), chunksize=64))
+    hits = sum(one_trial(t) for t in range(trials))
 
     coverage = hits / trials
     se = sqrt(coverage * (1 - coverage) / trials)

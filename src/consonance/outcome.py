@@ -9,6 +9,7 @@ event purposes).  Exhaustive event enumeration is capped at K = 20 outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterator
 
 from .errors import SpaceTooLarge, UnknownLabel
@@ -110,10 +111,11 @@ class Event:
     def __post_init__(self):
         idx = tuple(self.indices)
         object.__setattr__(self, "indices", idx)
-        if any(not 0 <= i < self.space_size for i in idx):
-            raise ValueError("event index out of range")
-        if any(a >= b for a, b in zip(idx, idx[1:])):
+        if not all(map(lt, idx, idx[1:])):
             raise ValueError("event indices must be strictly increasing")
+        # increasing indices lie in range when both ends do
+        if idx and not (0 <= idx[0] and idx[-1] < self.space_size):
+            raise ValueError("event index out of range")
 
     @classmethod
     def from_indices(cls, indices, space_size: int) -> "Event":

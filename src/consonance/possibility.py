@@ -97,7 +97,11 @@ def upper_table(c: Contour) -> list:
     _require_consonant(c)
     if c.size > MAX_ENUM:
         raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")
-    return _max_table(c.values)
+    if c.ranks is None:
+        return _max_table(c.values)
+    value_of = dict(zip(c.ranks.tolist(), c.values))
+    value_of.setdefault(0, Fraction(0))
+    return [value_of[k] for k in _rank_table(c.ranks).tolist()]
 
 
 @dataclass
@@ -134,6 +138,18 @@ def _max_table(values: Sequence[Scalar]) -> list:
     for m in range(1, 1 << k):
         low = (m & -m).bit_length() - 1
         table[m] = max(table[m & (m - 1)], values[low])
+    return table
+
+
+def _rank_table(ranks: np.ndarray) -> np.ndarray:
+    """Integer twin of :func:`_max_table`: the largest rank in every event.
+
+    Doubling: the events containing outcome j are the events without it,
+    each with j added, so ``t[2^j:2^(j+1)] = max(t[:2^j], ranks[j])``.
+    """
+    table = np.zeros(1 << len(ranks), dtype=np.int64)
+    for j, k in enumerate(ranks.tolist()):
+        np.maximum(table[: 1 << j], k, out=table[1 << j : 2 << j])
     return table
 
 

@@ -14,16 +14,24 @@ intersection of all events whose lower probability reaches 1 - alpha:
 :func:`prop1_check` verifies that equivalence over a sweep of alphas chosen
 to hit every behavior change: the contour's distinct values, midpoints
 between consecutive ones, and the endpoints 0 and 1.
+
+Exact contours are decided in integers: with ranks ``k`` over ``den``,
+``k/den > alpha`` holds exactly when ``k > floor(alpha * den)``, and the
+intersection form runs over an int64 table of every event's largest rank.
+Float contours keep Python's own comparisons of their values.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._num import Scalar
 from .errors import SpaceTooLarge
 from .outcome import MAX_ENUM, Event, GridOutcomeSpace, OutcomeSpace
-from .possibility import _require_consonant, upper_table
+from .possibility import _max_table, _rank_table, _require_consonant
 from .transducer import Contour, NonconformityMeasure, transduce_grid
 
 __all__ = [
@@ -60,9 +68,51 @@ def _check_alpha(alpha: Scalar):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def _threshold(c: Contour, alpha: Scalar) -> int:
+    """Largest rank ``t`` with ``t/den <= alpha``, so ``k/den > alpha`` iff ``k > t``."""
+    try:  # exact for ints, floats and Fractions
+        num, denom = alpha.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        num, denom = operator.index(alpha), 1
+    return num * c.den // denom
+
+
 def _cut_event(c: Contour, alpha: Scalar) -> Event:
-    idx = tuple(i for i, v in enumerate(c.values) if v > alpha)
+    if c.ranks is None:
+        idx = tuple(i for i, v in enumerate(c.values) if v > alpha)
+    else:
+        idx = tuple(np.flatnonzero(c.ranks > _threshold(c, alpha)).tolist())
     return Event(idx, c.size)
+
+
+def _event_table(c: Contour) -> np.ndarray:
+    """Possibility of every event, by bitmask.
+
+    Exact contours give the int64 rank table; others an object array of
+    the contour's own values, so their comparisons stay Python's.
+    """
+    if c.size > MAX_ENUM:
+        raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")
+    _require_consonant(c)
+    if c.ranks is None:
+        return np.array(_max_table(c.values), dtype=object)
+    return _rank_table(c.ranks)
+
+
+def _intersection_event(c: Contour, table: np.ndarray, alpha: Scalar) -> Event:
+    """Intersection of every event whose lower probability is at least 1 - alpha.
+
+    Event ``m`` qualifies when the possibility of its complement
+    ``full ^ m`` -- entry ``full - m`` of the table -- is small enough.
+    """
+    by_complement = table[::-1]
+    if c.ranks is None:
+        qualifies = 1 - by_complement >= 1 - alpha
+    else:
+        qualifies = by_complement <= _threshold(c, alpha)
+    full = (1 << c.size) - 1
+    acc = np.bitwise_and.reduce(np.flatnonzero(qualifies), initial=full)
+    return Event.from_mask(int(acc), c.size)
 
 
 def cpr(c: Contour, alpha: Scalar) -> PredictionRegion:
@@ -91,15 +141,8 @@ def ihdr_intersection(c: Contour, alpha: Scalar, space=None) -> PredictionRegion
     """
     _check_alpha(alpha)
     _check_space(c, space)
-    if c.size > MAX_ENUM:
-        raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")
-    up = upper_table(c)
-    full = (1 << c.size) - 1
-    acc = full
-    for m in range(1 << c.size):
-        if 1 - up[full ^ m] >= 1 - alpha:
-            acc &= m
-    return PredictionRegion(Event.from_mask(acc, c.size), alpha, "IHDR-intersection")
+    event = _intersection_event(c, _event_table(c), alpha)
+    return PredictionRegion(event, alpha, "IHDR-intersection")
 
 
 def region_size(region: PredictionRegion, space: OutcomeSpace) -> Scalar:
@@ -134,8 +177,7 @@ def prop1_check(c: Contour, alphas=(), space=None) -> Prop1Report:
     is rational.
     """
     _check_space(c, space)
-    up = upper_table(c)  # also enforces consonance and the size budget
-    full = (1 << c.size) - 1
+    table = _event_table(c)  # also enforces consonance and the size budget
 
     distinct = sorted(set(c.values))
     grid = set(alphas) | set(distinct) | {0, 1}
@@ -147,11 +189,7 @@ def prop1_check(c: Contour, alphas=(), space=None) -> Prop1Report:
     for alpha in sweep:
         _check_alpha(alpha)
         cut = _cut_event(c, alpha)
-        acc = full
-        for m in range(full + 1):
-            if 1 - up[full ^ m] >= 1 - alpha:
-                acc &= m
-        inter = Event.from_mask(acc, c.size)
+        inter = _intersection_event(c, table, alpha)
         if cut.mask != inter.mask:
             failures.append(Prop1Violation(alpha, cut, cut, inter))
     return Prop1Report(not failures, sweep, tuple(failures))

@@ -9,10 +9,14 @@ rank-based p-value
 
 where ``T_{n+1}`` is the candidate's own score.  The candidate term always
 participates in the count, so ``pi`` takes values ``k/(n+1)`` with
-``k >= 1``; results are exact :class:`fractions.Fraction` objects.
+``k >= 1``.
 
 Sweeping the candidate over an outcome space yields a contour ``y -> pi(y)``
-which is the object every downstream module consumes.  A contour need not
+which is the object every downstream module consumes.  A transducer
+contour is stored exactly as an int64 array of ranks ``k`` over the one
+shared denominator ``n+1``; hand-built rational contours are rescaled to
+the same form.  ``Contour.values`` is a view of those ranks as a tuple of
+:class:`fractions.Fraction`, built on first use.  A contour need not
 attain 1; :func:`adjust_prime` (divide by the supremum) and
 :func:`adjust_double_prime` (lift the argmax to 1) produce consonant
 versions, the latter pointwise no larger and hence never less efficient.
@@ -20,15 +24,16 @@ versions, the latter pointwise no larger and hence never less efficient.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from math import fsum
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._num import Scalar, fmt_scalar, parse_scalar
+from ._num import Scalar, common_integers, fmt_scalar, parse_scalar
 from .errors import AllZeroContour, EmptyBag, UnknownLabel
 from .outcome import (
     FiniteOutcomeSpace,
@@ -148,6 +153,12 @@ class NonconformityMeasure:
         return t, self.fn(tuple(data), candidate)
 
 
+def _rank(data: Sequence, candidate, psi: NonconformityMeasure) -> int:
+    """Rank count ``k``: the candidate plus every element scoring at least as high."""
+    t, t_cand = psi.raw_scores(data, candidate)
+    return 1 + sum(1 for v in t if v >= t_cand)
+
+
 def conformal_transducer(data: Sequence, candidate, psi: NonconformityMeasure) -> Fraction:
     """Rank p-value of ``candidate`` against the bag ``data``.
 
@@ -157,45 +168,110 @@ def conformal_transducer(data: Sequence, candidate, psi: NonconformityMeasure) -
     n = len(data)
     if n == 0:
         return Fraction(1)
-    t, t_cand = psi.raw_scores(data, candidate)
-    k = 1 + sum(1 for v in t if v >= t_cand)
-    return Fraction(k, n + 1)
+    return Fraction(_rank(data, candidate, psi), n + 1)
 
 
 _PROVENANCES = ("raw", "prime-adjusted", "double-prime-adjusted", "analytic")
 
 
-@dataclass(frozen=True)
 class Contour:
     """Plausibility contour over an outcome space.
 
     ``values[i]`` is the contour at label/grid-point ``i``, in [0, 1].
-    Transducer output is exact rational; hand-built contours may be float.
-    ``provenance`` records how the contour arose: "raw" out of the
-    transducer, "prime-adjusted"/"double-prime-adjusted" after the
-    respective normalization, "analytic" for everything built directly.
+    Rational contours -- all transducer output, and hand-built contours of
+    ints and Fractions -- are held exactly as a read-only int64 array
+    ``ranks`` over one denominator ``den``, so ``values[i] == ranks[i]/den``;
+    ``values`` is then a tuple of Fractions built once, on first use.  A
+    contour with any float value keeps ``values`` as given, and ``ranks``
+    and ``den`` are None.  ``provenance`` records how the contour arose:
+    "raw" out of the transducer, "prime-adjusted"/"double-prime-adjusted"
+    after the respective normalization, "analytic" for everything built
+    directly.  Contours are immutable; equality and hashing go by space,
+    values and provenance.
     """
 
-    space: OutcomeSpace
-    values: tuple
-    provenance: str = "analytic"
+    __slots__ = ("space", "provenance", "ranks", "den", "_values")
 
-    def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
-        if len(vals) != self.space.size:
+    def __init__(self, space: OutcomeSpace, values, provenance: str = "analytic"):
+        vals = tuple(values)
+        if len(vals) != space.size:
             raise ValueError("one value per outcome required")
         if any(v < 0 or v > 1 for v in vals):
             raise ValueError("contour values must lie in [0, 1]")
-        if self.provenance not in _PROVENANCES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
+        scaled = common_integers(vals)
+        if scaled is None:
+            self._freeze(space, None, None, vals, provenance)
+        else:
+            self._freeze(space, np.array(scaled[0], dtype=np.int64), scaled[1], vals, provenance)
+
+    @classmethod
+    def from_ranks(
+        cls, space: OutcomeSpace, ranks, den: int, provenance: str = "analytic"
+    ) -> "Contour":
+        """Exact contour ``ranks[i]/den`` from integer ranks ``0 <= k <= den``."""
+        k = np.asarray(ranks)
+        if k.dtype.kind not in "iu":
+            raise TypeError("ranks must be integers")
+        den = operator.index(den)
+        if k.shape != (space.size,):
+            raise ValueError("one rank per outcome required")
+        if not 0 < den < 1 << 62 or k.min() < 0 or k.max() > den:
+            raise ValueError("ranks must lie in [0, den] with 0 < den < 2^62")
+        c = cls.__new__(cls)
+        c._freeze(space, k.astype(np.int64), den, None, provenance)
+        return c
+
+    def _freeze(self, space, ranks, den, values, provenance):
+        if provenance not in _PROVENANCES:
+            raise ValueError(f"unknown provenance {provenance!r}")
+        if ranks is not None:
+            ranks.flags.writeable = False
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_values", values)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            den = self.den
+            object.__setattr__(
+                self, "_values", tuple(Fraction(k, den) for k in self.ranks.tolist())
+            )
+        return self._values
+
+    def _key(self) -> tuple:
+        return (self.space, self.values, self.provenance)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (
+            f"Contour(space={self.space!r}, values={self.values!r}, "
+            f"provenance={self.provenance!r})"
+        )
 
     @property
     def size(self) -> int:
         return self.space.size
 
     def max_value(self) -> Scalar:
-        return max(self.values)
+        if self.ranks is None:
+            return max(self.values)
+        return Fraction(int(self.ranks.max()), self.den)
 
     def to_json(self) -> dict:
         if isinstance(self.space, FiniteOutcomeSpace):
@@ -226,33 +302,36 @@ class ConformalResult:
         return len(self.data)
 
 
-def _sweep_label_counts(data: Sequence, space: FiniteOutcomeSpace) -> list[Fraction]:
+def _sweep_label_counts(data: Sequence, space: FiniteOutcomeSpace) -> np.ndarray:
     """Count-table shortcut for the empirical-pmf measure on label data.
 
     For candidate label ``l`` the augmented counts are ``c' = c + e_l`` and
     the rank count is the total mass of labels with ``c'(m) <= c'(l)``.
     Equivalent to the generic score path, just O(K^2) instead of O(n*K).
+    Returns the rank counts, one per label of ``space``.
     """
     counts = Counter(data)
     unknown = set(counts) - set(space.labels)
     if unknown:
         raise UnknownLabel(f"data labels {sorted(map(repr, unknown))} not in space")
-    n = len(data)
-    out = []
+    ranks = []
     for label in space.labels:
         aug = dict(counts)
         aug[label] = aug.get(label, 0) + 1
-        k = sum(v for v in aug.values() if v <= aug[label])
-        out.append(Fraction(k, n + 1))
-    return out
+        ranks.append(sum(v for v in aug.values() if v <= aug[label]))
+    return np.array(ranks, dtype=np.int64)
 
 
 def _sweep_mean_abs_grid(data: Sequence[float], candidates: np.ndarray) -> np.ndarray:
-    """Vectorized rank counts for the mean-abs measure over many candidates."""
+    """Vectorized rank counts for the mean-abs measure over many candidates.
+
+    The bag sum is taken with ``fsum``, as in :meth:`NonconformityMeasure.raw_scores`,
+    so each count equals the scalar transducer's exactly.
+    """
     y = np.asarray(data, dtype=float)
     n = y.size
     c = np.asarray(candidates, dtype=float)
-    total = y.sum() + c[:, None]                      # bag sums, per candidate
+    total = fsum(y) + c[:, None]                      # bag sums, per candidate
     t = np.abs((total - y[None, :]) / n - y[None, :])  # (G, n) leave-one-out scores
     t_cand = np.abs((total[:, 0] - c) / n - c)
     return 1 + (t >= t_cand[:, None]).sum(axis=1)
@@ -263,30 +342,27 @@ def transduce_grid(
 ) -> ConformalResult:
     """Evaluate the transducer at every outcome of ``space``.
 
-    The returned contour matches :func:`conformal_transducer` pointwise;
-    label data under the empirical-pmf measure and numeric data under
-    mean-abs take O(K^2) / vectorized shortcuts through the same formulas.
+    The returned contour matches :func:`conformal_transducer` pointwise and
+    holds the ranks over ``n+1``; label data under the empirical-pmf measure
+    and numeric data under mean-abs take O(K^2) / vectorized shortcuts
+    through the same formulas.
     """
     data = tuple(data)
     n = len(data)
     if n == 0:
-        values = tuple(Fraction(1) for _ in range(space.size))
-        contour = Contour(space, values, provenance="raw")
-        return ConformalResult(contour, data, psi.kind)
-
-    if isinstance(space, FiniteOutcomeSpace) and psi.kind == "one-minus-empirical-pmf":
-        values = tuple(_sweep_label_counts(data, space))
+        ranks = np.ones(space.size, dtype=np.int64)
+    elif isinstance(space, FiniteOutcomeSpace) and psi.kind == "one-minus-empirical-pmf":
+        ranks = _sweep_label_counts(data, space)
     elif isinstance(space, GridOutcomeSpace) and psi.kind == "mean-abs-distance":
-        counts = _sweep_mean_abs_grid(data, np.array(space.points()))
-        values = tuple(Fraction(int(k), n + 1) for k in counts)
+        ranks = _sweep_mean_abs_grid(data, np.array(space.points()))
     else:
         if isinstance(space, FiniteOutcomeSpace):
             candidates = space.labels
         else:
             candidates = space.points()
-        values = tuple(conformal_transducer(data, c, psi) for c in candidates)
+        ranks = np.array([_rank(data, c, psi) for c in candidates], dtype=np.int64)
 
-    contour = Contour(space, values, provenance="raw")
+    contour = Contour.from_ranks(space, ranks, n + 1, provenance="raw")
     return ConformalResult(contour, data, psi.kind)
 
 
@@ -295,6 +371,8 @@ def adjust_prime(c: Contour) -> Contour:
     m = c.max_value()
     if m == 0:
         raise AllZeroContour("cannot normalize an identically-zero contour")
+    if c.ranks is not None:  # k/den divided by top/den is k/top
+        return Contour.from_ranks(c.space, c.ranks, int(c.ranks.max()), "prime-adjusted")
     if m == 1:
         return Contour(c.space, c.values, provenance="prime-adjusted")
     values = tuple(v / m for v in c.values)
@@ -310,6 +388,9 @@ def adjust_double_prime(c: Contour) -> Contour:
     m = c.max_value()
     if m == 0:
         raise AllZeroContour("cannot adjust an identically-zero contour")
+    if c.ranks is not None:
+        lifted = np.where(c.ranks == c.ranks.max(), c.den, c.ranks)
+        return Contour.from_ranks(c.space, lifted, c.den, "double-prime-adjusted")
     one = Fraction(1) if isinstance(m, (int, Fraction)) else 1.0
     values = tuple(one if v == m else v for v in c.values)
     return Contour(c.space, values, provenance="double-prime-adjusted")

@@ -17,7 +17,6 @@ from consonance import (
     ProcessSpec,
     run_coverage,
     run_uniformity_sweep,
-    worker_count,
 )
 
 CATEGORICAL = ProcessSpec("iid-categorical", weights=(0.2, 0.3, 0.5))
@@ -112,13 +111,6 @@ class TestRunCoverage:
         assert a == b
         c = run_coverage(CATEGORICAL, 20, 0.2, None, 120, 43)
         assert a.hits != c.hits or a == c  # different seed, different stream
-
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        base = run_coverage(URN, 15, 0.2, None, 150, 5)
-        monkeypatch.setenv("CONSONANCE_THREADS", "4")
-        assert worker_count() == 4
-        threaded = run_coverage(URN, 15, 0.2, None, 150, 5)
-        assert threaded == base
 
     def test_standard_error_formula(self):
         report = run_coverage(CATEGORICAL, 20, 0.2, None, 300, 7)

@@ -159,6 +159,16 @@ class TestTransduceGrid:
         slow = tuple(conformal_transducer(data, p, psi) for p in grid.points())
         assert fast.contour.values == slow
 
+    def test_grid_fast_path_sums_the_bag_like_the_scalar_path(self):
+        """A score tie that numpy's pairwise bag sum broke differently from fsum:
+        at candidate 0.3 the sweep gave 1/2 where the scalar transducer gives 1/3."""
+        data = (0.3, 2.3, 1.4, 1.7, 1.8)
+        grid = GridOutcomeSpace(0.3, 2.3, 11)
+        psi = NonconformityMeasure.mean_abs()
+        fast = transduce_grid(data, grid, psi).contour.values
+        assert fast == tuple(conformal_transducer(data, p, psi) for p in grid.points())
+        assert fast[0] == Fraction(1, 3)
+
     def test_rank_denominators(self, abc_contour):
         n = len(ABC_BAG)
         for v in abc_contour.values:
