@@ -1,9 +1,11 @@
 """Scalar helpers shared across modules.
 
-Values flowing through the package are either exact rationals
-(``fractions.Fraction``, produced by label pipelines) or floats (produced by
-numeric pipelines).  Python compares the two exactly, so mixed arithmetic is
-safe; these helpers centralize formatting and the exact/float dispatch.
+Values flowing through the package are either exact rationals (ints and
+``fractions.Fraction``) or floats.  Python compares the two exactly, so
+mixed arithmetic is safe.  These helpers hold formatting and the one
+tolerance policy: a check over values that are all rational is exact
+(:func:`tolerance` gives 0), and a check that sees any float allows
+:data:`FLOAT_TOL` of rounding.
 """
 
 from __future__ import annotations
@@ -13,13 +15,17 @@ from math import lcm
 
 Scalar = int | float | Fraction
 
-
-def is_rational(value: Scalar) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+#: rounding slack of every float check in the package
+FLOAT_TOL = 1e-12
 
 
 def all_rational(values) -> bool:
-    return all(is_rational(v) for v in values)
+    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
+
+
+def tolerance(*groups) -> Scalar:
+    """Slack for a check over ``groups`` of values: 0 when all are rational."""
+    return 0 if all(all_rational(g) for g in groups) else FLOAT_TOL
 
 
 def zero_like(values) -> Scalar:
@@ -51,7 +57,7 @@ def common_integers(values, cap: int = 1 << 40) -> tuple[list[int], int] | None:
 
     Returns ``(numerators, denominator)`` with ``values[i] == num[i]/den``,
     or None when any value is a float or the common denominator exceeds
-    ``cap`` (callers then fall back to float arithmetic).
+    ``cap`` (callers then work on the values themselves).
     """
     if not all_rational(values):
         return None

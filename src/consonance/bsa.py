@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import exp, lgamma, log
+from math import exp, inf, lgamma, log
 
 import numpy as np
 
@@ -54,8 +54,8 @@ class GammaParams:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError("shape and rate must be strictly positive")
+        if not (0 < self.shape < inf and 0 < self.rate < inf):
+            raise ValueError("shape and rate must be finite and strictly positive")
 
 
 def posterior_update(prior: GammaParams, data) -> GammaParams:

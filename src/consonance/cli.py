@@ -2,7 +2,8 @@
 
 Subcommands: transduce, possibility, region, credal, bsa, coverage, table1.
 Exit codes: 0 all requested checks pass, 1 a check failed (including
-content-level errors such as a non-consonant contour), 2 usage error,
+content-level errors such as a non-consonant contour, non-finite data or
+a predictive too diffuse for the support truncation), 2 usage error,
 3 I/O error.  ``--json`` switches stdout to machine-readable JSON;
 rationals always render as "num/den" strings.  Randomized subcommands
 require an explicit --seed.
@@ -14,8 +15,8 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from ._num import fmt_scalar
 from .bsa import GammaParams, PredictiveFGCS, bsa_ihdr_report, posterior_update
@@ -27,7 +28,7 @@ from .credal import (
     sample_credal,
     ternary_coords,
 )
-from .errors import FixtureMismatch
+from .errors import FixtureMismatch, TruncationInsufficient
 from .harness import ProcessSpec, run_coverage
 from .outcome import Event, FiniteOutcomeSpace, GridOutcomeSpace, enumerate_events, space_from_json
 from .possibility import (
@@ -51,15 +52,6 @@ from .transducer import (
 _TABLE1_DATA = ("A",) * 20 + ("B",) * 30 + ("C",) * 50
 _TABLE1_SEED = 101
 _TABLE1_SAMPLES = 20
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: subcommand plus its options."""
-
-    subcommand: str
-    options: argparse.Namespace
-    mode: str  # "rational" for finite-label pipelines, else "float"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv) -> RunConfig:
+def parse_args(argv) -> argparse.Namespace:
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.subcommand in ("region", "bsa", "coverage") and ns.alpha is not None:
@@ -134,10 +126,7 @@ def parse_args(argv) -> RunConfig:
             parser.error("credal sample needs --count and --seed")
         if ns.action == "ternary" and not ns.out:
             parser.error("credal ternary needs --out")
-    mode = "rational" if ns.subcommand in ("table1",) else "float"
-    if getattr(ns, "space", None) or getattr(ns, "contour", None):
-        mode = "rational"  # finite-label pipelines promote to exact later
-    return RunConfig(ns.subcommand, ns, mode)
+    return ns
 
 
 def _read_json(path: str):
@@ -151,7 +140,12 @@ def _read_data_csv(path: str, as_float: bool) -> tuple:
     if not rows or rows[0] != ["y"]:
         raise ValueError(f"{path}: expected a single-column CSV with header y")
     cells = [r[0] for r in rows[1:] if r]
-    return tuple(float(c) for c in cells) if as_float else tuple(cells)
+    if not as_float:
+        return tuple(cells)
+    values = tuple(float(c) for c in cells)
+    if not all(map(isfinite, values)):
+        raise ValueError(f"{path}: data must be finite numbers")
+    return values
 
 
 def _emit(payload: dict, as_json: bool, lines):
@@ -479,16 +473,16 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
+    ns = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        return _HANDLERS[config.subcommand](config.options)
+        return _HANDLERS[ns.subcommand](ns)
     except (OSError, json.JSONDecodeError, csv.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except FixtureMismatch as exc:
         print(f"fixture mismatch: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TruncationInsufficient) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

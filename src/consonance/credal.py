@@ -9,8 +9,9 @@ the credal set.  Membership is decided exhaustively over all 2^K events
 (dominance on singletons is not enough for general capacities), or
 equivalently via the strong-cut characterization: P is in M iff
 P({pi > alpha}) >= 1 - alpha at every breakpoint alpha of the contour.
-Both tests are exact on rational input; any float input switches the
-comparisons to a 1e-12 slack so that boundary members survive rounding.
+Both tests are exact on rational input; any float input allows the
+package's one float tolerance, ``FLOAT_TOL``, so that boundary members
+survive rounding.
 
 Extreme points come from the classic permutation construction: walk the
 outcomes in some order and assign each the increment of the upper
@@ -22,15 +23,15 @@ credal set is always zero here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import compress, permutations
 from math import log, sqrt
 
 import numpy as np
 
-from ._num import Scalar, all_rational, zero_like
+from ._num import Scalar, tolerance, zero_like
 from .errors import SpaceTooLarge, WrongDimension
 from .outcome import Event
-from .possibility import _require_consonant, upper_table
+from .possibility import _check_space, _require_consonant, upper_table
 from .transducer import Contour
 
 __all__ = [
@@ -42,8 +43,6 @@ __all__ = [
     "sample_credal",
     "ternary_coords",
 ]
-
-_FLOAT_SLACK = 1e-12
 
 #: extreme-point enumeration walks K! permutations
 _MAX_PERMUTE = 8
@@ -60,15 +59,11 @@ class ProbabilityVector:
         object.__setattr__(self, "weights", w)
         if not w:
             raise ValueError("need at least one weight")
-        exact = all_rational(w)
-        floor = 0 if exact else -_FLOAT_SLACK
-        if any(v < floor for v in w):
-            raise ValueError("weights must be nonnegative")
+        tol = tolerance(w)
+        if not all(v >= -tol for v in w):  # NaN fails too
+            raise ValueError(f"weights must be nonnegative numbers, got {w}")
         total = sum(w)
-        if exact:
-            if total != 1:
-                raise ValueError(f"weights sum to {total}, expected 1")
-        elif abs(total - 1) > _FLOAT_SLACK:
+        if abs(total - 1) > tol:
             raise ValueError(f"weights sum to {total}, expected 1")
 
     @property
@@ -81,17 +76,6 @@ class ProbabilityVector:
 
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.weights)
-
-
-def _check_space(c: Contour, space):
-    if space is not None and space != c.space:
-        raise ValueError("space does not match the contour's space")
-
-
-def _default_tol(c: Contour, p: ProbabilityVector) -> Scalar:
-    if all_rational(c.values) and all_rational(p.weights):
-        return 0
-    return _FLOAT_SLACK
 
 
 def _prob_table(weights) -> list:
@@ -111,7 +95,7 @@ def in_credal_set(
     if p.size != c.size:
         raise WrongDimension("vector and contour sizes differ")
     if tol is None:
-        tol = _default_tol(c, p)
+        tol = tolerance(c.values, p.weights)
     up = upper_table(c)
     pt = _prob_table(p.weights)
     return all(pt[m] <= up[m] + tol for m in range(len(up)))
@@ -130,11 +114,12 @@ def prop2_membership(
     if p.size != c.size:
         raise WrongDimension("vector and contour sizes differ")
     if tol is None:
-        tol = _default_tol(c, p)
+        tol = tolerance(c.values, p.weights)
     _require_consonant(c)
+    levels = c.levels
     for alpha in set(c.values):
-        mass = sum(w for w, v in zip(p.weights, c.values) if v > alpha)
-        if mass < 1 - alpha - tol:
+        inside = (levels > c.threshold(alpha)).tolist()
+        if sum(compress(p.weights, inside)) < 1 - alpha - tol:
             return False
     return True
 
@@ -143,26 +128,31 @@ def extreme_points(c: Contour, space=None) -> list[ProbabilityVector]:
     """Vertices of the credal set via the permutation construction.
 
     For each outcome order the vector of prefix increments of the upper
-    probability is an extreme point; all K! orders are walked and exact
-    duplicates (1e-12 duplicates on the float path) dropped.  K <= 8.
+    probability is an extreme point; all K! orders are walked and
+    duplicates dropped.  Outcome i gets weight ``max(pi_i, M) - M``, where M
+    is the largest value before it, so two orders reach the same vertex
+    exactly when every outcome raises the same M or none; that key is
+    compared exactly, with no float tolerance.  K <= 8.
     """
     _check_space(c, space)
     if c.size > _MAX_PERMUTE:
         raise SpaceTooLarge(f"{c.size}! permutations exceed the budget")
     up = upper_table(c)
-    exact = all_rational(c.values)
     seen = set()
     out = []
     for order in permutations(range(c.size)):
         weights = [zero_like(c.values)] * c.size
+        raised = [None] * c.size  # the prefix maximum each outcome raises
         prefix = 0
         prev = zero_like(c.values)
         for i in order:
             prefix |= 1 << i
             cur = up[prefix]
             weights[i] = cur - prev
+            if cur != prev:
+                raised[i] = prev
             prev = cur
-        key = tuple(weights) if exact else tuple(round(float(w), 12) for w in weights)
+        key = tuple(raised)
         if key not in seen:
             seen.add(key)
             out.append(ProbabilityVector(tuple(weights)))

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import sqrt
+from math import inf, isfinite, sqrt
 
 import numpy as np
 
+from ._num import tolerance
 from .errors import UnknownLabel
 from .outcome import FiniteOutcomeSpace
 from .region import cpr, ihdr_cut
@@ -86,7 +87,7 @@ class ProcessSpec:
                 raise ValueError("categorical family needs weights")
             if any(w < 0 for w in self.weights):
                 raise ValueError("weights must be nonnegative")
-            if abs(sum(self.weights) - 1) > 1e-9:
+            if not abs(sum(self.weights) - 1) <= tolerance(self.weights):  # NaN fails too
                 raise ValueError("weights must sum to 1")
             self._check_labels(len(self.weights))
         elif self.family == "polya-urn":
@@ -96,10 +97,10 @@ class ProcessSpec:
                 raise ValueError("urn counts must be positive integers")
             self._check_labels(len(self.counts))
         elif self.family == "iid-gaussian":
-            if not self.sigma > 0:
-                raise ValueError("sigma must be positive")
-        elif not self.lam > 0:
-            raise ValueError("lambda must be positive")
+            if not (isfinite(self.mu) and 0 < self.sigma < inf):
+                raise ValueError("need a finite mu and a finite, positive sigma")
+        elif not 0 < self.lam < inf:
+            raise ValueError("lambda must be finite and positive")
 
     def _check_labels(self, k: int):
         if self.labels and len(self.labels) != k:

@@ -9,6 +9,7 @@ event purposes).  Exhaustive event enumeration is capped at K = 20 outcomes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from operator import lt
 from typing import Iterator
 
@@ -59,8 +60,8 @@ class GridOutcomeSpace:
     num_points: int
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError("need lo < hi")
+        if not (isfinite(self.lo) and isfinite(self.hi) and self.lo < self.hi):
+            raise ValueError("need finite lo < hi")
         if self.num_points < 2:
             raise ValueError("need at least two grid points")
 

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._num import Scalar, all_rational, common_integers, zero_like
+from ._num import FLOAT_TOL, Scalar, common_integers, tolerance, zero_like
 from .errors import (
     BudgetExceeded,
     EmptyList,
@@ -57,10 +57,6 @@ __all__ = [
     "tropical_sum",
 ]
 
-#: float slack below which a capacity inequality counts as a tie
-_FLOAT_TIE = 1e-9
-
-
 def is_consonant(c: Contour) -> bool:
     """True when the contour attains 1 somewhere."""
     return c.max_value() == 1
@@ -71,6 +67,11 @@ def _require_consonant(c: Contour):
         raise NonConsonantContour(
             "contour does not attain 1; apply an adjustment first"
         )
+
+
+def _check_space(c: Contour, space):
+    if space is not None and space != c.space:
+        raise ValueError("space does not match the contour's space")
 
 
 def _check_event(c: Contour, event: Event):
@@ -94,14 +95,12 @@ def lower_prob(c: Contour, event: Event) -> Scalar:
 
 def upper_table(c: Contour) -> list:
     """Possibility of every event, indexed by bitmask.  O(2^K)."""
-    _require_consonant(c)
-    if c.size > MAX_ENUM:
-        raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")
-    if c.ranks is None:
-        return _max_table(c.values)
-    value_of = dict(zip(c.ranks.tolist(), c.values))
-    value_of.setdefault(0, Fraction(0))
-    return [value_of[k] for k in _rank_table(c.ranks).tolist()]
+    table = _max_table(c).tolist()
+    table[0] = zero_like(c.values)
+    if c.ranks is not None:  # map ranks back to the contour's values
+        value_of = dict(zip(c.ranks.tolist(), c.values))
+        table[1:] = [value_of[k] for k in table[1:]]
+    return table
 
 
 @dataclass
@@ -132,24 +131,21 @@ class UpperLowerPair:
         return 1 - self.upper(complement(event))
 
 
-def _max_table(values: Sequence[Scalar]) -> list:
-    k = len(values)
-    table = [zero_like(values)] * (1 << k)
-    for m in range(1, 1 << k):
-        low = (m & -m).bit_length() - 1
-        table[m] = max(table[m & (m - 1)], values[low])
-    return table
-
-
-def _rank_table(ranks: np.ndarray) -> np.ndarray:
-    """Integer twin of :func:`_max_table`: the largest rank in every event.
+def _max_table(c: Contour) -> np.ndarray:
+    """The largest of ``c.levels`` in every event, indexed by bitmask.
 
     Doubling: the events containing outcome j are the events without it,
-    each with j added, so ``t[2^j:2^(j+1)] = max(t[:2^j], ranks[j])``.
+    each with j added, so ``t[2^j:2^(j+1)] = max(levels[j], t[:2^j])``.
+    On a tie the level wins, so every nonempty event holds one of the
+    contour's own levels; the empty event holds 0.
     """
-    table = np.zeros(1 << len(ranks), dtype=np.int64)
-    for j, k in enumerate(ranks.tolist()):
-        np.maximum(table[: 1 << j], k, out=table[1 << j : 2 << j])
+    if c.size > MAX_ENUM:
+        raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")
+    _require_consonant(c)
+    levels = c.levels
+    table = np.zeros(1 << len(levels), dtype=levels.dtype)
+    for j, k in enumerate(levels.tolist()):
+        np.maximum(k, table[: 1 << j], out=table[1 << j : 2 << j])
     return table
 
 
@@ -169,8 +165,7 @@ class MassFunction:
             if m <= 0:
                 raise NegativeMass(f"mass {m} at {ev.indices} must be positive")
         total = sum(self.masses.values())
-        exact = all_rational(self.masses.values())
-        if (exact and total != 1) or (not exact and abs(total - 1) > _FLOAT_TIE):
+        if abs(total - 1) > tolerance(self.masses.values()):
             raise ValueError(f"masses sum to {total}, expected 1")
 
     def belief(self, event: Event) -> Scalar:
@@ -191,18 +186,18 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
 
     ``bel`` is evaluated once per event; the alternating sum is done by the
     in-place subset transform, O(K * 2^K).  Exact when ``bel`` returns
-    rationals.  Raises :class:`NegativeMass` when the input is not a belief
-    function (some mass comes out negative beyond float noise).
+    rationals; with floats, masses within ``FLOAT_TOL`` of 0 are dropped.
+    Raises :class:`NegativeMass` when the input is not a belief function
+    (some mass comes out negative beyond that tolerance).
     """
     k = space.size
     if k > MAX_ENUM:
         raise SpaceTooLarge(f"2^{k} events exceed the enumeration budget")
     f = [bel(Event.from_mask(m, k)) for m in range(1 << k)]
-    exact = all_rational(f)
-    if (exact and f[0] != 0) or (not exact and abs(f[0]) > _FLOAT_TIE):
+    tol = tolerance(f)
+    if abs(f[0]) > tol:
         raise ValueError("bel(empty) must be 0")
-    full = (1 << k) - 1
-    if (exact and f[full] != 1) or (not exact and abs(f[full] - 1) > _FLOAT_TIE):
+    if abs(f[-1] - 1) > tol:
         raise ValueError("bel(full space) must be 1")
 
     for j in range(k):
@@ -211,15 +206,14 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
             if m & bit:
                 f[m] = f[m] - f[m ^ bit]
 
-    floor = 0 if exact else -1e-12
     masses = {}
     for m in range(1, 1 << k):
         val = f[m]
-        if val < floor:
+        if val < -tol:
             raise NegativeMass(
                 f"mass {val} at mask {m:b}; input is not a belief function"
             )
-        if (exact and val > 0) or (not exact and val > 1e-12):
+        if val > tol:
             masses[Event.from_mask(m, k)] = val
     return MassFunction(k, masses)
 
@@ -277,19 +271,6 @@ def _submasks(mask: int) -> list[int]:
     return out
 
 
-def _collection_rhs(table, combo_masks, combine) -> Scalar:
-    total = 0
-    j = len(combo_masks)
-    for r in range(1, j + 1):
-        sign = 1 if r % 2 else -1
-        for chosen in combinations(combo_masks, r):
-            m = chosen[0]
-            for x in chosen[1:]:
-                m = combine(m, x)
-            total = total + sign * table[m]
-    return total
-
-
 def _scan_capacity(table, k: int, space_size: int, alternating: bool):
     """Shared sweep for the k-monotone / k-alternating checks.
 
@@ -298,17 +279,19 @@ def _scan_capacity(table, k: int, space_size: int, alternating: bool):
     and every combination of 1..k distinct pool events is tested with the
     inclusion-exclusion bound.  Numpy evaluates whole combination blocks;
     rational capacities are rescaled to a common integer denominator so the
-    comparison is exact, float capacities treat violations within 1e-9 as
-    ties.  Returns the first violation as (target, combo_masks) or None.
+    comparison is exact, float capacities treat violations within
+    ``FLOAT_TOL`` as ties.  Returns the first violation as
+    (target, combo_masks, rhs) -- rhs a Fraction when exact, else a float --
+    or None.
     """
     full = (1 << space_size) - 1
     scaled = common_integers(table)
     if scaled is not None:
-        arr = np.array(scaled[0], dtype=np.int64)
+        arr, den = np.array(scaled[0], dtype=np.int64), scaled[1]
         tol = 0
     else:
         arr = np.array([float(v) for v in table])
-        tol = _FLOAT_TIE
+        tol = FLOAT_TOL
 
     targets = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))
     for a in targets:
@@ -340,7 +323,8 @@ def _scan_capacity(table, k: int, space_size: int, alternating: bool):
             hits = np.flatnonzero(bad)
             if hits.size:
                 first = int(hits[0])
-                return a, tuple(int(m) for m in masks[first])
+                bound = Fraction(int(rhs[first]), den) if scaled else float(rhs[first])
+                return a, tuple(int(m) for m in masks[first]), bound
     return None
 
 
@@ -354,9 +338,7 @@ def _run_check(nu, k, space, alternating: bool) -> CheckResult:
     found = _scan_capacity(table, k, space.size, alternating)
     if found is None:
         return CheckResult(True, k, kind)
-    a_mask, combo_masks = found
-    combine = (lambda x, y: x | y) if alternating else (lambda x, y: x & y)
-    rhs = _collection_rhs(table, combo_masks, combine)
+    a_mask, combo_masks, rhs = found
     witness = Witness(
         target=Event.from_mask(a_mask, space.size),
         collection=tuple(Event.from_mask(m, space.size) for m in combo_masks),

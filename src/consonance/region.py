@@ -15,23 +15,23 @@ intersection of all events whose lower probability reaches 1 - alpha:
 to hit every behavior change: the contour's distinct values, midpoints
 between consecutive ones, and the endpoints 0 and 1.
 
-Exact contours are decided in integers: with ranks ``k`` over ``den``,
-``k/den > alpha`` holds exactly when ``k > floor(alpha * den)``, and the
-intersection form runs over an int64 table of every event's largest rank.
-Float contours keep Python's own comparisons of their values.
+Every contour takes the same path: the cut is ``levels > threshold(alpha)``
+(see :class:`Contour`), and the intersection form reads a table of every
+event's largest level.  An event qualifies when the possibility of its
+complement is at most alpha, the rounding-free form of
+``lower >= 1 - alpha``.  Exact contours are thereby decided in int64
+ranks, all others by Python's exact comparisons of their values.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._num import Scalar
-from .errors import SpaceTooLarge
-from .outcome import MAX_ENUM, Event, GridOutcomeSpace, OutcomeSpace
-from .possibility import _max_table, _rank_table, _require_consonant
+from .outcome import Event, GridOutcomeSpace, OutcomeSpace
+from .possibility import _check_space, _max_table, _require_consonant
 from .transducer import Contour, NonconformityMeasure, transduce_grid
 
 __all__ = [
@@ -68,48 +68,18 @@ def _check_alpha(alpha: Scalar):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
-def _threshold(c: Contour, alpha: Scalar) -> int:
-    """Largest rank ``t`` with ``t/den <= alpha``, so ``k/den > alpha`` iff ``k > t``."""
-    try:  # exact for ints, floats and Fractions
-        num, denom = alpha.as_integer_ratio()
-    except AttributeError:  # numpy integers
-        num, denom = operator.index(alpha), 1
-    return num * c.den // denom
-
-
 def _cut_event(c: Contour, alpha: Scalar) -> Event:
-    if c.ranks is None:
-        idx = tuple(i for i, v in enumerate(c.values) if v > alpha)
-    else:
-        idx = tuple(np.flatnonzero(c.ranks > _threshold(c, alpha)).tolist())
-    return Event(idx, c.size)
-
-
-def _event_table(c: Contour) -> np.ndarray:
-    """Possibility of every event, by bitmask.
-
-    Exact contours give the int64 rank table; others an object array of
-    the contour's own values, so their comparisons stay Python's.
-    """
-    if c.size > MAX_ENUM:
-        raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")
-    _require_consonant(c)
-    if c.ranks is None:
-        return np.array(_max_table(c.values), dtype=object)
-    return _rank_table(c.ranks)
+    idx = np.flatnonzero(c.levels > c.threshold(alpha)).tolist()
+    return Event(tuple(idx), c.size)
 
 
 def _intersection_event(c: Contour, table: np.ndarray, alpha: Scalar) -> Event:
     """Intersection of every event whose lower probability is at least 1 - alpha.
 
     Event ``m`` qualifies when the possibility of its complement
-    ``full ^ m`` -- entry ``full - m`` of the table -- is small enough.
+    ``full ^ m`` -- entry ``full - m`` of the table -- is at most alpha.
     """
-    by_complement = table[::-1]
-    if c.ranks is None:
-        qualifies = 1 - by_complement >= 1 - alpha
-    else:
-        qualifies = by_complement <= _threshold(c, alpha)
+    qualifies = table[::-1] <= c.threshold(alpha)
     full = (1 << c.size) - 1
     acc = np.bitwise_and.reduce(np.flatnonzero(qualifies), initial=full)
     return Event.from_mask(int(acc), c.size)
@@ -128,11 +98,6 @@ def ihdr_cut(c: Contour, alpha: Scalar) -> PredictionRegion:
     return PredictionRegion(_cut_event(c, alpha), alpha, "IHDR-cut")
 
 
-def _check_space(c: Contour, space):
-    if space is not None and space != c.space:
-        raise ValueError("space does not match the contour's space")
-
-
 def ihdr_intersection(c: Contour, alpha: Scalar, space=None) -> PredictionRegion:
     """Highest-density region as an intersection over qualifying events.
 
@@ -141,7 +106,7 @@ def ihdr_intersection(c: Contour, alpha: Scalar, space=None) -> PredictionRegion
     """
     _check_alpha(alpha)
     _check_space(c, space)
-    event = _intersection_event(c, _event_table(c), alpha)
+    event = _intersection_event(c, _max_table(c), alpha)
     return PredictionRegion(event, alpha, "IHDR-intersection")
 
 
@@ -155,7 +120,6 @@ def region_size(region: PredictionRegion, space: OutcomeSpace) -> Scalar:
 @dataclass(frozen=True)
 class Prop1Violation:
     alpha: Scalar
-    cpr_event: Event
     cut_event: Event
     intersection_event: Event
 
@@ -168,16 +132,17 @@ class Prop1Report:
 
 
 def prop1_check(c: Contour, alphas=(), space=None) -> Prop1Report:
-    """Three-way CPR / cut / intersection equality over an alpha sweep.
+    """Cut / intersection equality over an alpha sweep.
 
-    The sweep contains the caller's alphas, every distinct contour value,
-    midpoints of consecutive distinct values, and the endpoints 0 and 1;
-    the regions are step functions of alpha, so this grid witnesses every
-    possible disagreement.  Exact arithmetic end to end when the contour
-    is rational.
+    The cut is both the CPR and the IHDR cut, so one comparison per alpha
+    covers all three regions.  The sweep contains the caller's alphas,
+    every distinct contour value, midpoints of consecutive distinct
+    values, and the endpoints 0 and 1; the regions are step functions of
+    alpha, so this grid witnesses every possible disagreement.  Every
+    comparison is exact, float contours included.
     """
     _check_space(c, space)
-    table = _event_table(c)  # also enforces consonance and the size budget
+    table = _max_table(c)  # also enforces consonance and the size budget
 
     distinct = sorted(set(c.values))
     grid = set(alphas) | set(distinct) | {0, 1}
@@ -191,7 +156,7 @@ def prop1_check(c: Contour, alphas=(), space=None) -> Prop1Report:
         cut = _cut_event(c, alpha)
         inter = _intersection_event(c, table, alpha)
         if cut.mask != inter.mask:
-            failures.append(Prop1Violation(alpha, cut, cut, inter))
+            failures.append(Prop1Violation(alpha, cut, inter))
     return Prop1Report(not failures, sweep, tuple(failures))
 
 

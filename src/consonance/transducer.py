@@ -16,7 +16,10 @@ which is the object every downstream module consumes.  A transducer
 contour is stored exactly as an int64 array of ranks ``k`` over the one
 shared denominator ``n+1``; hand-built rational contours are rescaled to
 the same form.  ``Contour.values`` is a view of those ranks as a tuple of
-:class:`fractions.Fraction`, built on first use.  A contour need not
+:class:`fractions.Fraction`, built on first use.  ``Contour.levels`` and
+``Contour.threshold`` keep that choice of number format inside the
+contour, so every cut and table downstream is one numpy expression.  A
+contour need not
 attain 1; :func:`adjust_prime` (divide by the supremum) and
 :func:`adjust_double_prime` (lift the argmax to 1) produce consonant
 versions, the latter pointwise no larger and hence never less efficient.
@@ -182,8 +185,9 @@ class Contour:
     ints and Fractions -- are held exactly as a read-only int64 array
     ``ranks`` over one denominator ``den``, so ``values[i] == ranks[i]/den``;
     ``values`` is then a tuple of Fractions built once, on first use.  A
-    contour with any float value keeps ``values`` as given, and ``ranks``
-    and ``den`` are None.  ``provenance`` records how the contour arose:
+    contour with any float value, or whose common denominator is too
+    large, keeps ``values`` as given, and ``ranks`` and ``den`` are None.
+    ``provenance`` records how the contour arose:
     "raw" out of the transducer, "prime-adjusted"/"double-prime-adjusted"
     after the respective normalization, "analytic" for everything built
     directly.  Contours are immutable; equality and hashing go by space,
@@ -196,7 +200,7 @@ class Contour:
         vals = tuple(values)
         if len(vals) != space.size:
             raise ValueError("one value per outcome required")
-        if any(v < 0 or v > 1 for v in vals):
+        if not all(0 <= v <= 1 for v in vals):  # NaN fails too
             raise ValueError("contour values must lie in [0, 1]")
         scaled = common_integers(vals)
         if scaled is None:
@@ -246,6 +250,31 @@ class Contour:
                 self, "_values", tuple(Fraction(k, den) for k in self.ranks.tolist())
             )
         return self._values
+
+    @property
+    def levels(self) -> np.ndarray:
+        """What cuts and tables compare: ``ranks``, else the values as objects.
+
+        An object array keeps Python's exact comparisons of floats and
+        Fractions, so ``levels > threshold(alpha)`` is the cut on either.
+        """
+        if self.ranks is None:
+            return np.array(self.values, dtype=object)
+        return self.ranks
+
+    def threshold(self, alpha: Scalar) -> Scalar:
+        """Level ``t`` with ``value > alpha`` exactly when ``level > t``.
+
+        For ranks over ``den`` that is ``floor(alpha * den)``, computed from
+        alpha's exact ratio; for values it is ``alpha`` itself.
+        """
+        if self.ranks is None:
+            return alpha
+        try:  # exact for ints, floats and Fractions
+            num, denom = alpha.as_integer_ratio()
+        except AttributeError:  # numpy integers
+            num, denom = operator.index(alpha), 1
+        return num * self.den // denom
 
     def _key(self) -> tuple:
         return (self.space, self.values, self.provenance)
@@ -345,10 +374,12 @@ def transduce_grid(
     The returned contour matches :func:`conformal_transducer` pointwise and
     holds the ranks over ``n+1``; label data under the empirical-pmf measure
     and numeric data under mean-abs take O(K^2) / vectorized shortcuts
-    through the same formulas.
+    through the same formulas.  Data on a grid must be finite reals.
     """
     data = tuple(data)
     n = len(data)
+    if isinstance(space, GridOutcomeSpace) and not np.isfinite(np.asarray(data, float)).all():
+        raise ValueError("numeric data must be finite")
     if n == 0:
         ranks = np.ones(space.size, dtype=np.int64)
     elif isinstance(space, FiniteOutcomeSpace) and psi.kind == "one-minus-empirical-pmf":

@@ -324,3 +324,70 @@ class TestUsage:
     def test_unknown_subcommand(self, capsys):
         code, _ = run_cli(["frobnicate"], capsys)
         assert code == 2
+
+
+class TestFloatContourRegions:
+    """Float contours once split the CPR from the IHDR intersection when
+    ``1 - upper >= 1 - alpha`` rounded; the CLI now agrees with the cut."""
+
+    @staticmethod
+    def _contour(tmp_path, pi):
+        path = tmp_path / "float.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "pi": pi}))
+        return str(path)
+
+    def test_intersection_keeps_a_value_just_above_alpha(self, tmp_path, capsys):
+        contour = self._contour(tmp_path, [0.30000000000000004, 1.0])
+        for kind in ("cpr", "intersection"):
+            code, out = run_cli(
+                ["--json", "region", "--contour", contour, "--alpha", "0.3", "--kind", kind],
+                capsys,
+            )
+            assert code == 0 and json.loads(out)["labels"] == ["a", "b"]
+
+    def test_prop1_passes_on_a_tiny_value(self, tmp_path, capsys):
+        contour = self._contour(tmp_path, [1e-17, 1.0])
+        code, out = run_cli(["--json", "region", "prop1", "--contour", contour], capsys)
+        assert code == 0 and json.loads(out)["passed"] is True
+
+
+class TestBadInputExitsOne:
+    """Content errors end in exit 1 with one ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def _run(argv, capsys):
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        return code
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_data(self, tmp_path, cell, capsys):
+        space = tmp_path / "grid.json"
+        space.write_text(json.dumps({"lo": 0.0, "hi": 4.0, "num_points": 5}))
+        data = tmp_path / "data.csv"
+        data.write_text(f"y\n1.0\n{cell}\n")
+        out = tmp_path / "contour.json"
+        argv = ["transduce", "--data", str(data), "--space", str(space),
+                "--psi", "mean-abs", "--out", str(out)]
+        assert self._run(argv, capsys) == 1
+        assert not out.exists()
+
+    def test_non_finite_counts(self, tmp_path, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text("y\n3\ninf\n")
+        argv = ["bsa", "--priors", '[{"a": 2, "b": 1}]', "--data", str(data), "--alpha", "0.1"]
+        assert self._run(argv, capsys) == 1
+
+    def test_infinite_grid_bound(self, tmp_path, capsys):
+        space = tmp_path / "grid.json"
+        space.write_text('{"lo": 0.0, "hi": Infinity, "num_points": 5}')
+        data = tmp_path / "data.csv"
+        data.write_text("y\n1.0\n")
+        argv = ["transduce", "--data", str(data), "--space", str(space),
+                "--psi", "mean-abs", "--out", str(tmp_path / "o.json")]
+        assert self._run(argv, capsys) == 1
+
+    def test_truncation_cap_reached(self, capsys):
+        argv = ["bsa", "--priors", '[{"a": 1000000, "b": 1}]', "--alpha", "0.1"]
+        assert self._run(argv, capsys) == 1

@@ -193,7 +193,7 @@ def _old_intersection_mask(values, alpha):
     full = (1 << len(values)) - 1
     acc = full
     for m in range(1 << len(values)):
-        if 1 - up[full ^ m] >= 1 - alpha:
+        if up[full ^ m] <= alpha:
             acc &= m
     return acc
 
