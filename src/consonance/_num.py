@@ -44,12 +44,40 @@ def fmt_scalar(value: Scalar):
     return float(value)
 
 
+def to_float(value, what: str) -> float:
+    """``float(value)`` for a value read from a file; ``ValueError`` when
+    there is no such float (null, a list, an int beyond the float range)."""
+    try:
+        return float(value)
+    except (TypeError, OverflowError):
+        raise ValueError(f"{what} must be a number") from None
+
+
+def json_list(value, what: str, kinds=(int, float)) -> tuple:
+    """A JSON list of ``kinds`` (never bools) as a tuple; ``ValueError``
+    names ``what`` otherwise."""
+    if not isinstance(value, list) or not all(
+        isinstance(v, kinds) and not isinstance(v, bool) for v in value
+    ):
+        raise ValueError(f"{what} must be a list of {' or '.join(k.__name__ for k in kinds)}")
+    return tuple(value)
+
+
 def parse_scalar(text) -> Scalar:
-    """Inverse of :func:`fmt_scalar`; accepts "num/den" strings and numbers."""
+    """Inverse of :func:`fmt_scalar`; accepts "num/den" strings and numbers.
+
+    Anything else -- null, a list, a bool, a zero denominator -- raises
+    ``ValueError``.
+    """
     if isinstance(text, str):
         num, _, den = text.partition("/")
-        return Fraction(int(num), int(den) if den else 1)
-    return float(text)
+        num, den = int(num), int(den) if den else 1
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
+    if isinstance(text, (int, float)) and not isinstance(text, bool):
+        return to_float(text, "a contour value")
+    raise ValueError(f"expected a number or a \"num/den\" string, got {text!r}")
 
 
 def common_integers(values, cap: int = 1 << 40) -> tuple[list[int], int] | None:
@@ -57,14 +85,16 @@ def common_integers(values, cap: int = 1 << 40) -> tuple[list[int], int] | None:
 
     Returns ``(numerators, denominator)`` with ``values[i] == num[i]/den``,
     or None when any value is a float or the common denominator exceeds
-    ``cap`` (callers then work on the values themselves).
+    ``cap``.  The 2^K kernels run on int64 numerators when this succeeds
+    and their own headroom check passes, on float64 when every value is a
+    float, and otherwise -- the overflow fallback -- on an object array of
+    the values themselves.
     """
     if not all_rational(values):
         return None
-    fracs = [Fraction(v) for v in values]
     den = 1
-    for f in fracs:
-        den = lcm(den, f.denominator)
+    for d in {v.denominator for v in values}:
+        den = lcm(den, d)
         if den > cap:
             return None
-    return [int(f * den) for f in fracs], den
+    return [v.numerator * (den // v.denominator) for v in values], den

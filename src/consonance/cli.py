@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import isfinite
 
-from ._num import fmt_scalar
+from ._num import fmt_scalar, to_float
 from .bsa import GammaParams, PredictiveFGCS, bsa_ihdr_report, posterior_update
 from .credal import (
     ProbabilityVector,
@@ -171,6 +171,8 @@ def _event_json(ev: Event, c: Contour):
 
 def _cmd_transduce(ns) -> int:
     space = space_from_json(_read_json(ns.space))
+    if ns.psi == "mean-abs" and not isinstance(space, GridOutcomeSpace):
+        raise ValueError("--psi mean-abs needs a grid space")
     data = _read_data_csv(ns.data, as_float=isinstance(space, GridOutcomeSpace))
     psi = NonconformityMeasure.from_name(ns.psi)
     contour = transduce_grid(data, space, psi).contour
@@ -276,7 +278,18 @@ def _cmd_region(ns) -> int:
 
 def _parse_weights(text: str) -> ProbabilityVector:
     parts = [p.strip() for p in text.split(",") if p.strip()]
-    return ProbabilityVector(tuple(Fraction(p) for p in parts))
+    try:
+        weights = tuple(Fraction(p) for p in parts)
+    except ZeroDivisionError:
+        raise ValueError(f"--p {text}: zero denominator") from None
+    return ProbabilityVector(weights)
+
+
+def _parse_priors(text: str) -> list:
+    priors = json.loads(text)
+    if not isinstance(priors, list) or not all(isinstance(p, dict) for p in priors):
+        raise ValueError('--priors must be a JSON list like [{"a": 2, "b": 1}]')
+    return [GammaParams(to_float(p["a"], "a"), to_float(p["b"], "b")) for p in priors]
 
 
 def _cmd_credal(ns) -> int:
@@ -316,7 +329,7 @@ def _cmd_credal(ns) -> int:
 
 
 def _cmd_bsa(ns) -> int:
-    priors = [GammaParams(float(p["a"]), float(p["b"])) for p in json.loads(ns.priors)]
+    priors = _parse_priors(ns.priors)
     data = ()
     if ns.data:
         data = tuple(int(float(v)) for v in _read_data_csv(ns.data, as_float=True))

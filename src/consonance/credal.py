@@ -13,25 +13,32 @@ Both tests are exact on rational input; any float input allows the
 package's one float tolerance, ``FLOAT_TOL``, so that boundary members
 survive rounding.
 
+The 2^K dominance check runs on numpy arrays of the kind
+``Contour.levels`` gives -- int64 for rational points on ranks, float64
+for float points, object arrays otherwise or when int64 would overflow --
+and gives every event the verdict of the Python comparison.
+
 Extreme points come from the classic permutation construction: walk the
 outcomes in some order and assign each the increment of the upper
-probability over the prefix.  Consonance puts a point mass at any outcome
-with contour value 1, which is why the minimum Shannon entropy over the
-credal set is always zero here.
+probability over the prefix.  The K! walk compares levels (int ranks on
+an exact contour); weights are worked out in values for the distinct
+vertices only.  Consonance puts a point mass at any outcome with contour
+value 1, which is why the minimum Shannon entropy over the credal set is
+always zero here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, permutations
-from math import log, sqrt
+from math import floor, log, sqrt
 
 import numpy as np
 
-from ._num import Scalar, tolerance, zero_like
+from ._num import Scalar, all_rational, common_integers, tolerance, zero_like
 from .errors import SpaceTooLarge, WrongDimension
 from .outcome import Event
-from .possibility import _check_space, _require_consonant, upper_table
+from .possibility import _check_space, _max_table, _require_consonant, upper_table
 from .transducer import Contour
 
 __all__ = [
@@ -78,27 +85,55 @@ class ProbabilityVector:
         return tuple(float(v) for v in self.weights)
 
 
-def _prob_table(weights) -> list:
-    k = len(weights)
-    table = [zero_like(weights)] * (1 << k)
-    for m in range(1, 1 << k):
-        low = (m & -m).bit_length() - 1
-        table[m] = table[m & (m - 1)] + weights[low]
-    return table
-
-
 def in_credal_set(
     p: ProbabilityVector, c: Contour, space=None, tol: Scalar | None = None
 ) -> bool:
-    """Exhaustive dominance check P(A) <= upper(A) over all 2^K events."""
+    """Exhaustive dominance check P(A) <= upper(A) + tol over all 2^K events.
+
+    One numpy comparison of the contour's max-table with a doubling table
+    of weight sums, in the form that gives each event the verdict of the
+    Python comparison ``P(A) <= upper(A) + tol``:
+
+    * int64 when the contour has ranks and the weights and ``tol`` are
+      rational: ``P·den - rank·wden <= floor(tol·wden·den)``, with the
+      weights over ``wden``, if ``wden·den < 2^63``;
+    * float64 when the weights and ``tol`` are floats: levels convert as
+      ``float()`` converts values, and sums add in the Python order;
+    * otherwise object arrays of the values: the Python loop itself.
+    """
     _check_space(c, space)
     if p.size != c.size:
         raise WrongDimension("vector and contour sizes differ")
     if tol is None:
         tol = tolerance(c.values, p.weights)
-    up = upper_table(c)
-    pt = _prob_table(p.weights)
-    return all(pt[m] <= up[m] + tol for m in range(len(up)))
+    up = _max_table(c)
+    w = p.weights
+    if c.ranks is not None and all_rational([tol]):
+        scaled = common_integers(w)
+        if scaled is not None and scaled[1] * c.den < 1 << 63:
+            nums, wden = scaled
+            pt = _prob_table(np.array(nums, dtype=np.int64))
+            return bool(np.all(pt * c.den - up * wden <= floor(tol * wden * c.den)))
+    if all(isinstance(v, float) for v in (*w, tol)) and (c.ranks is None or c.den < 1 << 53):
+        # ranks and den are exact floats, so rank / den rounds once, as float(value) does
+        upf = up.astype(np.float64) if c.ranks is None else up / c.den
+        return bool(np.all(_prob_table(np.array(w, dtype=np.float64)) <= upf + tol))
+    pt = _prob_table(np.array(w, dtype=object), zero_like(w))
+    return bool(np.all(pt <= np.array(upper_table(c), dtype=object) + tol))
+
+
+def _prob_table(weights: np.ndarray, zero=0) -> np.ndarray:
+    """P of every event, indexed by bitmask, as ``P(A - {low}) + w[low]``.
+
+    Doubling from the highest outcome down: the events whose lowest member
+    is j are the events of higher outcomes only, each with j added.  Each
+    sum therefore adds its weights from the highest index to the lowest.
+    """
+    k = len(weights)
+    table = np.full(1 << k, zero, dtype=weights.dtype)
+    for j in reversed(range(k)):
+        table[1 << j :: 2 << j] = table[0 :: 2 << j] + weights[j]
+    return table
 
 
 def prop2_membership(
@@ -131,31 +166,42 @@ def extreme_points(c: Contour, space=None) -> list[ProbabilityVector]:
     probability is an extreme point; all K! orders are walked and
     duplicates dropped.  Outcome i gets weight ``max(pi_i, M) - M``, where M
     is the largest value before it, so two orders reach the same vertex
-    exactly when every outcome raises the same M or none; that key is
-    compared exactly, with no float tolerance.  K <= 8.
+    exactly when every outcome raises the same M or none.  The walk
+    compares the contour's levels (int ranks on an exact contour), with no
+    float tolerance; the weights, as values, are worked out for the first
+    order to reach each vertex only.  K <= 8.
     """
     _check_space(c, space)
     if c.size > _MAX_PERMUTE:
         raise SpaceTooLarge(f"{c.size}! permutations exceed the budget")
-    up = upper_table(c)
+    levels = _max_table(c).tolist()
     seen = set()
-    out = []
+    firsts = []
     for order in permutations(range(c.size)):
-        weights = [zero_like(c.values)] * c.size
         raised = [None] * c.size  # the prefix maximum each outcome raises
         prefix = 0
-        prev = zero_like(c.values)
+        prev = levels[0]
         for i in order:
             prefix |= 1 << i
-            cur = up[prefix]
-            weights[i] = cur - prev
+            cur = levels[prefix]
             if cur != prev:
                 raised[i] = prev
             prev = cur
         key = tuple(raised)
         if key not in seen:
             seen.add(key)
-            out.append(ProbabilityVector(tuple(weights)))
+            firsts.append(order)
+    up = upper_table(c)
+    out = []
+    for order in firsts:
+        weights = [zero_like(c.values)] * c.size
+        prefix = 0
+        prev = zero_like(c.values)
+        for i in order:
+            prefix |= 1 << i
+            weights[i] = up[prefix] - prev
+            prev = up[prefix]
+        out.append(ProbabilityVector(tuple(weights)))
     return out
 
 

@@ -37,9 +37,9 @@ from math import inf, isfinite, sqrt
 
 import numpy as np
 
-from ._num import tolerance
+from ._num import json_list, to_float, tolerance
 from .errors import UnknownLabel
-from .outcome import FiniteOutcomeSpace
+from .outcome import FiniteOutcomeSpace, labels_from_json
 from .region import cpr, ihdr_cut
 from .transducer import (
     Contour,
@@ -93,7 +93,7 @@ class ProcessSpec:
         elif self.family == "polya-urn":
             if not self.counts:
                 raise ValueError("urn family needs initial counts")
-            if any(c <= 0 or c != int(c) for c in self.counts):
+            if any(not 0 < c < inf or c != int(c) for c in self.counts):
                 raise ValueError("urn counts must be positive integers")
             self._check_labels(len(self.counts))
         elif self.family == "iid-gaussian":
@@ -145,15 +145,19 @@ class ProcessSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ProcessSpec":
+        if not isinstance(obj, dict):
+            raise ValueError("a process spec must be a JSON object")
         family = obj["family"]
         if family == "iid-categorical":
-            return cls(family, weights=tuple(obj["weights"]), labels=tuple(obj.get("labels", ())))
+            weights = json_list(obj["weights"], "weights")
+            return cls(family, weights=weights, labels=labels_from_json(obj.get("labels", [])))
         if family == "polya-urn":
-            return cls(family, counts=tuple(obj["counts"]), labels=tuple(obj.get("labels", ())))
+            counts = json_list(obj["counts"], "counts")
+            return cls(family, counts=counts, labels=labels_from_json(obj.get("labels", [])))
         if family == "iid-gaussian":
-            return cls(family, mu=float(obj["mu"]), sigma=float(obj["sigma"]))
+            return cls(family, mu=to_float(obj["mu"], "mu"), sigma=to_float(obj["sigma"], "sigma"))
         if family == "iid-poisson":
-            return cls(family, lam=float(obj["lambda"]))
+            return cls(family, lam=to_float(obj["lambda"], "lambda"))
         raise ValueError(f"unknown family {family!r}")
 
 

@@ -13,6 +13,7 @@ from math import isfinite
 from operator import lt
 from typing import Iterator
 
+from ._num import json_list, to_float
 from .errors import SpaceTooLarge, UnknownLabel
 
 #: hard cap on exhaustive 2^K enumeration
@@ -48,7 +49,7 @@ class FiniteOutcomeSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteOutcomeSpace":
-        return cls(tuple(obj["labels"]))
+        return cls(labels_from_json(obj["labels"]))
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,25 @@ class GridOutcomeSpace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GridOutcomeSpace":
-        return cls(float(obj["lo"]), float(obj["hi"]), int(obj["num_points"]))
+        if not isinstance(obj, dict):
+            raise ValueError("a grid must be a JSON object")
+        try:
+            num_points = int(obj["num_points"])
+        except (TypeError, OverflowError):
+            raise ValueError("num_points must be a number") from None
+        return cls(to_float(obj["lo"], "lo"), to_float(obj["hi"], "hi"), num_points)
 
 
 OutcomeSpace = FiniteOutcomeSpace | GridOutcomeSpace
 
 
+def labels_from_json(value) -> tuple:
+    return json_list(value, "labels", (str, int, float))
+
+
 def space_from_json(obj: dict) -> OutcomeSpace:
+    if not isinstance(obj, dict):
+        raise ValueError("an outcome space must be a JSON object")
     if "labels" in obj:
         return FiniteOutcomeSpace.from_json(obj)
     if "grid" in obj:  # grid nested under its own key, as in contour files

@@ -59,7 +59,7 @@ __all__ = [
 
 def is_consonant(c: Contour) -> bool:
     """True when the contour attains 1 somewhere."""
-    return c.max_value() == 1
+    return c.max_level == c.threshold(1)  # the level that stands for 1
 
 
 def _require_consonant(c: Contour):
@@ -79,18 +79,30 @@ def _check_event(c: Contour, event: Event):
         raise ValueError("event does not belong to the contour's space")
 
 
+def _max_over(c: Contour, indices) -> Scalar:
+    """Largest contour value at ``indices``, 0 when there are none.
+
+    The comparison runs on the levels: int ranks on an exact contour.
+    """
+    if not indices:
+        return zero_like(c.values)
+    levels = c.values if c.ranks is None else c.ranks.tolist()
+    return c.values[max(indices, key=levels.__getitem__)]
+
+
 def upper_prob(c: Contour, event: Event) -> Scalar:
     """Possibility of an event: max of the contour over it."""
     _require_consonant(c)
     _check_event(c, event)
-    if len(event) == 0:
-        return zero_like(c.values)
-    return max(c.values[i] for i in event.indices)
+    return _max_over(c, event.indices)
 
 
 def lower_prob(c: Contour, event: Event) -> Scalar:
     """Necessity of an event, dual to :func:`upper_prob`."""
-    return 1 - upper_prob(c, complement(event))
+    _require_consonant(c)
+    _check_event(c, event)
+    inside = set(event.indices)
+    return 1 - _max_over(c, [i for i in range(event.space_size) if i not in inside])
 
 
 def upper_table(c: Contour) -> list:
@@ -184,11 +196,17 @@ class MassFunction:
 def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
     """Moebius inversion m(A) = sum_{B subset A} (-1)^|A-B| bel(B).
 
-    ``bel`` is evaluated once per event; the alternating sum is done by the
-    in-place subset transform, O(K * 2^K).  Exact when ``bel`` returns
+    ``bel`` is evaluated once per event; the alternating sum is the
+    in-place fast subset transform (Kennes & Smets), O(K * 2^K), run over
+    one numpy array: int64 numerators over a common denominator when the
+    values are all Fractions or all ints and ``max|num| * 2^K < 2^63`` (no
+    partial sum can then overflow), float64 when they are all floats, and
+    otherwise an object array, which repeats the Python arithmetic of a
+    loop and so keeps each mass's kind.  Exact when ``bel`` returns
     rationals; with floats, masses within ``FLOAT_TOL`` of 0 are dropped.
-    Raises :class:`NegativeMass` when the input is not a belief function
-    (some mass comes out negative beyond that tolerance).
+    Raises :class:`NegativeMass`, naming the smallest mask, when the input
+    is not a belief function (some mass comes out negative beyond that
+    tolerance).
     """
     k = space.size
     if k > MAX_ENUM:
@@ -200,22 +218,30 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
     if abs(f[-1] - 1) > tol:
         raise ValueError("bel(full space) must be 1")
 
+    kinds = set(map(type, f))
+    scaled = common_integers(f) if len(kinds) == 1 else None
+    den = None  # the scale of int64 numerators of Fractions
+    if scaled is not None and max(map(abs, scaled[0])) << k < 1 << 63:
+        table = np.array(scaled[0], dtype=np.int64)
+        if kinds == {Fraction}:
+            den = scaled[1]
+    else:
+        table = np.array(f, dtype=np.float64 if kinds == {float} else object)
     for j in range(k):
-        bit = 1 << j
-        for m in range(1 << k):
-            if m & bit:
-                f[m] = f[m] - f[m ^ bit]
+        pairs = table.reshape(-1, 2, 1 << j)
+        pairs[:, 1, :] -= pairs[:, 0, :]
 
-    masses = {}
-    for m in range(1, 1 << k):
-        val = f[m]
-        if val < -tol:
-            raise NegativeMass(
-                f"mass {val} at mask {m:b}; input is not a belief function"
-            )
-        if val > tol:
-            masses[Event.from_mask(m, k)] = val
-    return MassFunction(k, masses)
+    def mass(m):
+        return table.item(m) if den is None else Fraction(table.item(m), den)
+
+    negative = np.flatnonzero(table[1:] < -tol)
+    if negative.size:
+        m = int(negative[0]) + 1
+        raise NegativeMass(
+            f"mass {mass(m)} at mask {m:b}; input is not a belief function"
+        )
+    focal = (np.flatnonzero(table[1:] > tol) + 1).tolist()
+    return MassFunction(k, {Event.from_mask(m, k): mass(m) for m in focal})
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,8 @@ class Contour:
     ``values`` is then a tuple of Fractions built once, on first use.  A
     contour with any float value, or whose common denominator is too
     large, keeps ``values`` as given, and ``ranks`` and ``den`` are None.
+    ``max_level`` is the largest of ``levels`` as a Python scalar, kept
+    from construction.
     ``provenance`` records how the contour arose:
     "raw" out of the transducer, "prime-adjusted"/"double-prime-adjusted"
     after the respective normalization, "analytic" for everything built
@@ -194,7 +196,7 @@ class Contour:
     values and provenance.
     """
 
-    __slots__ = ("space", "provenance", "ranks", "den", "_values")
+    __slots__ = ("space", "provenance", "ranks", "den", "max_level", "_values")
 
     def __init__(self, space: OutcomeSpace, values, provenance: str = "analytic"):
         vals = tuple(values)
@@ -204,9 +206,10 @@ class Contour:
             raise ValueError("contour values must lie in [0, 1]")
         scaled = common_integers(vals)
         if scaled is None:
-            self._freeze(space, None, None, vals, provenance)
+            self._freeze(space, None, None, max(vals), vals, provenance)
         else:
-            self._freeze(space, np.array(scaled[0], dtype=np.int64), scaled[1], vals, provenance)
+            ranks, den = scaled
+            self._freeze(space, np.array(ranks, dtype=np.int64), den, max(ranks), vals, provenance)
 
     @classmethod
     def from_ranks(
@@ -219,13 +222,14 @@ class Contour:
         den = operator.index(den)
         if k.shape != (space.size,):
             raise ValueError("one rank per outcome required")
-        if not 0 < den < 1 << 62 or k.min() < 0 or k.max() > den:
+        top = int(k.max())
+        if not 0 < den < 1 << 62 or k.min() < 0 or top > den:
             raise ValueError("ranks must lie in [0, den] with 0 < den < 2^62")
         c = cls.__new__(cls)
-        c._freeze(space, k.astype(np.int64), den, None, provenance)
+        c._freeze(space, k.astype(np.int64), den, top, None, provenance)
         return c
 
-    def _freeze(self, space, ranks, den, values, provenance):
+    def _freeze(self, space, ranks, den, max_level, values, provenance):
         if provenance not in _PROVENANCES:
             raise ValueError(f"unknown provenance {provenance!r}")
         if ranks is not None:
@@ -234,6 +238,7 @@ class Contour:
         object.__setattr__(self, "provenance", provenance)
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "max_level", max_level)
         object.__setattr__(self, "_values", values)
 
     def __setattr__(self, name, value):
@@ -299,8 +304,8 @@ class Contour:
 
     def max_value(self) -> Scalar:
         if self.ranks is None:
-            return max(self.values)
-        return Fraction(int(self.ranks.max()), self.den)
+            return self.max_level
+        return Fraction(self.max_level, self.den)
 
     def to_json(self) -> dict:
         if isinstance(self.space, FiniteOutcomeSpace):
@@ -314,6 +319,8 @@ class Contour:
     @classmethod
     def from_json(cls, obj: dict) -> "Contour":
         space = space_from_json(obj)
+        if not isinstance(obj["pi"], list):
+            raise ValueError("pi must be a list of contour values")
         values = tuple(parse_scalar(v) for v in obj["pi"])
         return cls(space, values, obj.get("provenance", "analytic"))
 
@@ -403,7 +410,7 @@ def adjust_prime(c: Contour) -> Contour:
     if m == 0:
         raise AllZeroContour("cannot normalize an identically-zero contour")
     if c.ranks is not None:  # k/den divided by top/den is k/top
-        return Contour.from_ranks(c.space, c.ranks, int(c.ranks.max()), "prime-adjusted")
+        return Contour.from_ranks(c.space, c.ranks, c.max_level, "prime-adjusted")
     if m == 1:
         return Contour(c.space, c.values, provenance="prime-adjusted")
     values = tuple(v / m for v in c.values)
@@ -420,7 +427,7 @@ def adjust_double_prime(c: Contour) -> Contour:
     if m == 0:
         raise AllZeroContour("cannot adjust an identically-zero contour")
     if c.ranks is not None:
-        lifted = np.where(c.ranks == c.ranks.max(), c.den, c.ranks)
+        lifted = np.where(c.ranks == c.max_level, c.den, c.ranks)
         return Contour.from_ranks(c.space, lifted, c.den, "double-prime-adjusted")
     one = Fraction(1) if isinstance(m, (int, Fraction)) else 1.0
     values = tuple(one if v == m else v for v in c.values)

@@ -391,3 +391,54 @@ class TestBadInputExitsOne:
     def test_truncation_cap_reached(self, capsys):
         argv = ["bsa", "--priors", '[{"a": 1000000, "b": 1}]', "--alpha", "0.1"]
         assert self._run(argv, capsys) == 1
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"labels": ["a", "b"], "pi": None},
+            {"labels": ["a", "b"], "pi": [[1], 1]},
+            {"labels": ["a", "b"], "pi": ["1/0", "1/1"]},
+            {"labels": "ab", "pi": ["1/2", "1/1"]},
+            {"labels": ["a", "b"], "pi": [True, 1]},
+            {"labels": ["a", "b"], "pi": ["1/2", 10**400]},
+            {"grid": {"lo": None, "hi": 1.0, "num_points": 2}, "pi": [1.0, 1.0]},
+            {"grid": [0, 1, 2], "pi": [1.0, 1.0]},
+            ["labels", "pi"],
+        ],
+    )
+    def test_malformed_contour_file(self, tmp_path, obj, capsys):
+        """Each of these ended in a TypeError or ZeroDivisionError traceback,
+        or (labels "ab") was read silently as the labels a and b."""
+        path = tmp_path / "contour.json"
+        path.write_text(json.dumps(obj))
+        assert self._run(["possibility", "mass", "--contour", str(path)], capsys) == 1
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"family": "polya-urn", "counts": [1e999, 2]},
+            {"family": "iid-categorical", "weights": 0.5},
+            {"family": "iid-categorical", "weights": [0.5, 0.5], "labels": "ab"},
+            {"family": "iid-gaussian", "mu": None, "sigma": 1.0},
+            [1, 2],
+        ],
+    )
+    def test_malformed_process_spec(self, tmp_path, spec, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec).replace("1e999", "Infinity"))
+        argv = ["coverage", "--spec", str(path), "--n", "3", "--alpha", "0.2", "--trials", "2", "--seed", "1"]
+        assert self._run(argv, capsys) == 1
+
+    @pytest.mark.parametrize("priors", ["[1]", '[{"a": null, "b": 1}]', '{"a": 1, "b": 1}'])
+    def test_malformed_priors(self, priors, capsys):
+        assert self._run(["bsa", "--priors", priors, "--alpha", "0.1"], capsys) == 1
+
+    def test_zero_denominator_in_a_point(self, label_contour, capsys):
+        argv = ["credal", "check", "--contour", str(label_contour), "--p", "1/0,1"]
+        assert self._run(argv, capsys) == 1
+
+    def test_mean_abs_on_labels(self, label_files, tmp_path, capsys):
+        space, data = label_files
+        argv = ["transduce", "--data", str(data), "--space", str(space),
+                "--psi", "mean-abs", "--out", str(tmp_path / "o.json")]
+        assert self._run(argv, capsys) == 1
