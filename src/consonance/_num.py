@@ -86,9 +86,8 @@ def common_integers(values, cap: int = 1 << 40) -> tuple[list[int], int] | None:
     Returns ``(numerators, denominator)`` with ``values[i] == num[i]/den``,
     or None when any value is a float or the common denominator exceeds
     ``cap``.  The 2^K kernels run on int64 numerators when this succeeds
-    and their own headroom check passes, on float64 when every value is a
-    float, and otherwise -- the overflow fallback -- on an object array of
-    the values themselves.
+    and their own headroom check passes, and otherwise -- the overflow
+    fallback -- on an object array of the values themselves.
     """
     if not all_rational(values):
         return None

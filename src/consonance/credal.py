@@ -13,10 +13,11 @@ Both tests are exact on rational input; any float input allows the
 package's one float tolerance, ``FLOAT_TOL``, so that boundary members
 survive rounding.
 
-The 2^K dominance check runs on numpy arrays of the kind
-``Contour.levels`` gives -- int64 for rational points on ranks, float64
-for float points, object arrays otherwise or when int64 would overflow --
-and gives every event the verdict of the Python comparison.
+The 2^K dominance check runs on one kind of numpy array -- int64 when
+the tolerance is rational and the contour and the point rescale to
+integers over one denominator, float64 when the point and the tolerance
+are floats, object arrays otherwise -- and gives every event the verdict
+of the Python comparison.
 
 Extreme points come from the classic permutation construction: walk the
 outcomes in some order and assign each the increment of the upper
@@ -94,11 +95,11 @@ def in_credal_set(
     of weight sums, in the form that gives each event the verdict of the
     Python comparison ``P(A) <= upper(A) + tol``:
 
-    * int64 when the contour has ranks and the weights and ``tol`` are
-      rational: ``P·den - rank·wden <= floor(tol·wden·den)``, with the
-      weights over ``wden``, if ``wden·den < 2^63``;
-    * float64 when the weights and ``tol`` are floats: levels convert as
-      ``float()`` converts values, and sums add in the Python order;
+    * int64 when the values, the weights and ``tol`` are rational and the
+      values and weights rescale to integers over one denominator ``d``:
+      ``P·d - upper·d <= floor(tol·d)``;
+    * float64 when the weights and ``tol`` are floats: each value converts
+      as ``float()`` converts it, and sums add in the Python order;
     * otherwise object arrays of the values: the Python loop itself.
     """
     _check_space(c, space)
@@ -106,18 +107,18 @@ def in_credal_set(
         raise WrongDimension("vector and contour sizes differ")
     if tol is None:
         tol = tolerance(c.values, p.weights)
-    up = _max_table(c)
     w = p.weights
-    if c.ranks is not None and all_rational([tol]):
-        scaled = common_integers(w)
-        if scaled is not None and scaled[1] * c.den < 1 << 63:
-            nums, wden = scaled
-            pt = _prob_table(np.array(nums, dtype=np.int64))
-            return bool(np.all(pt * c.den - up * wden <= floor(tol * wden * c.den)))
-    if all(isinstance(v, float) for v in (*w, tol)) and (c.ranks is None or c.den < 1 << 53):
-        # ranks and den are exact floats, so rank / den rounds once, as float(value) does
-        upf = up.astype(np.float64) if c.ranks is None else up / c.den
-        return bool(np.all(_prob_table(np.array(w, dtype=np.float64)) <= upf + tol))
+    if all_rational([tol]):
+        scaled = common_integers((*c.values, *w))
+        if scaled is not None:  # values and weights lie in [0, 1], so every sum fits
+            nums, d = np.array(scaled[0], dtype=np.int64), scaled[1]
+            up = _max_table(c, nums[: c.size])
+            return bool(np.all(_prob_table(nums[c.size :]) - up <= floor(tol * d)))
+    elif all(isinstance(v, float) for v in (*w, tol)):
+        # float() rounds monotonically, so the max-table of the rounded
+        # values holds the rounded upper probabilities
+        up = _max_table(c, np.array([float(v) for v in c.values]))
+        return bool(np.all(_prob_table(np.array(w, dtype=np.float64)) <= up + tol))
     pt = _prob_table(np.array(w, dtype=object), zero_like(w))
     return bool(np.all(pt <= np.array(upper_table(c), dtype=object) + tol))
 

@@ -89,11 +89,12 @@ class GridOutcomeSpace:
     def from_json(cls, obj: dict) -> "GridOutcomeSpace":
         if not isinstance(obj, dict):
             raise ValueError("a grid must be a JSON object")
-        try:
-            num_points = int(obj["num_points"])
-        except (TypeError, OverflowError):
-            raise ValueError("num_points must be a number") from None
-        return cls(to_float(obj["lo"], "lo"), to_float(obj["hi"], "hi"), num_points)
+        n = obj["num_points"]
+        if isinstance(n, float) and n.is_integer():
+            n = int(n)
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError("num_points must be a whole number")
+        return cls(to_float(obj["lo"], "lo"), to_float(obj["hi"], "hi"), n)
 
 
 OutcomeSpace = FiniteOutcomeSpace | GridOutcomeSpace

@@ -86,7 +86,7 @@ def _max_over(c: Contour, indices) -> Scalar:
     """
     if not indices:
         return zero_like(c.values)
-    levels = c.values if c.ranks is None else c.ranks.tolist()
+    levels = c.levels.tolist()
     return c.values[max(indices, key=levels.__getitem__)]
 
 
@@ -143,18 +143,21 @@ class UpperLowerPair:
         return 1 - self.upper(complement(event))
 
 
-def _max_table(c: Contour) -> np.ndarray:
-    """The largest of ``c.levels`` in every event, indexed by bitmask.
+def _max_table(c: Contour, levels: np.ndarray | None = None) -> np.ndarray:
+    """The largest of ``levels`` in every event, indexed by bitmask.
 
-    Doubling: the events containing outcome j are the events without it,
-    each with j added, so ``t[2^j:2^(j+1)] = max(levels[j], t[:2^j])``.
-    On a tie the level wins, so every nonempty event holds one of the
-    contour's own levels; the empty event holds 0.
+    ``levels`` (default ``c.levels``) may be any array that orders the
+    outcomes as the values do, such as the values as floats.  Doubling:
+    the events containing outcome j are the events without it, each with j
+    added, so ``t[2^j:2^(j+1)] = max(levels[j], t[:2^j])``.  On a tie the
+    level wins, so every nonempty event holds one of the given levels; the
+    empty event holds 0.
     """
     if c.size > MAX_ENUM:
         raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")
     _require_consonant(c)
-    levels = c.levels
+    if levels is None:
+        levels = c.levels
     table = np.zeros(1 << len(levels), dtype=levels.dtype)
     for j, k in enumerate(levels.tolist()):
         np.maximum(k, table[: 1 << j], out=table[1 << j : 2 << j])
@@ -200,10 +203,11 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
     in-place fast subset transform (Kennes & Smets), O(K * 2^K), run over
     one numpy array: int64 numerators over a common denominator when the
     values are all Fractions or all ints and ``max|num| * 2^K < 2^63`` (no
-    partial sum can then overflow), float64 when they are all floats, and
-    otherwise an object array, which repeats the Python arithmetic of a
-    loop and so keeps each mass's kind.  Exact when ``bel`` returns
-    rationals; with floats, masses within ``FLOAT_TOL`` of 0 are dropped.
+    partial sum can then overflow), and otherwise -- floats, mixed kinds,
+    denominators past the cap, integers that could overflow -- an object
+    array, which repeats the Python arithmetic of a loop and so keeps each
+    mass's kind.  Exact when ``bel`` returns rationals; with floats,
+    masses within ``FLOAT_TOL`` of 0 are dropped.
     Raises :class:`NegativeMass`, naming the smallest mask, when the input
     is not a belief function (some mass comes out negative beyond that
     tolerance).
@@ -226,7 +230,7 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
         if kinds == {Fraction}:
             den = scaled[1]
     else:
-        table = np.array(f, dtype=np.float64 if kinds == {float} else object)
+        table = np.array(f, dtype=object)
     for j in range(k):
         pairs = table.reshape(-1, 2, 1 << j)
         pairs[:, 1, :] -= pairs[:, 0, :]

@@ -402,6 +402,7 @@ class TestBadInputExitsOne:
             {"labels": ["a", "b"], "pi": [True, 1]},
             {"labels": ["a", "b"], "pi": ["1/2", 10**400]},
             {"grid": {"lo": None, "hi": 1.0, "num_points": 2}, "pi": [1.0, 1.0]},
+            {"grid": {"lo": 0, "hi": 1, "num_points": 2.5}, "pi": [1.0, 1.0]},
             {"grid": [0, 1, 2], "pi": [1.0, 1.0]},
             ["labels", "pi"],
         ],

@@ -1,7 +1,7 @@
 """The 2^K and K! kernels of possibility and credal against their old loops.
 
 ``mass_from_belief`` runs the subset transform over one numpy array
-(int64, float64 or object), ``in_credal_set`` compares a doubling table of
+(int64 or object), ``in_credal_set`` compares a doubling table of
 weight sums with the contour's max-table in one expression, and
 ``extreme_points`` walks the permutations over integer levels.  Each must
 give exactly what the Python loop it replaced gave: the same values of the
