@@ -36,7 +36,7 @@ from math import floor, log, sqrt
 
 import numpy as np
 
-from ._num import Scalar, all_rational, common_integers, tolerance, zero_like
+from ._num import FLOAT_TOL, Scalar, all_rational, common_integers, tolerance, zero_like
 from .errors import SpaceTooLarge, WrongDimension
 from .outcome import Event
 from .possibility import _check_space, _max_table, _require_consonant, upper_table
@@ -227,22 +227,24 @@ def sample_credal(c: Contour, space=None, count: int = 1, seed: int = 0) -> list
 
     Uniform Dirichlet proposals filtered by membership; if a draw keeps
     missing (tiny credal sets), fall back to a random convex mixture of the
-    extreme points, which is a member by construction.
+    extreme points, which is a member by construction.  Each proposal gets
+    the float64 test of :func:`in_credal_set` against a bound built once
+    per call; only accepted draws become :class:`ProbabilityVector`.
     """
     _check_space(c, space)
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     ones = np.ones(c.size)
+    bound = _max_table(c, np.array([float(v) for v in c.values])) + FLOAT_TOL
     extremes = None
     out = []
     for _ in range(count):
         vec = None
         for _ in range(64):
             w = rng.dirichlet(ones)
-            cand = ProbabilityVector(tuple(float(x) for x in w))
-            if in_credal_set(cand, c):
-                vec = cand
+            if np.all(_prob_table(w) <= bound):
+                vec = ProbabilityVector(tuple(float(x) for x in w))
                 break
         if vec is None:
             if extremes is None:

@@ -1,16 +1,18 @@
 """Outcome spaces and events.
 
 Two kinds of space are supported: a finite set of labels, and a uniform grid
-of reals standing in for a continuous outcome.  Events are index subsets of a
+of reals standing in for a continuous outcome.  Events are subsets of a
 finite space (grid points count as a finite space of size ``num_points`` for
-event purposes).  Exhaustive event enumeration is capped at K = 20 outcomes.
+event purposes), held as bitmasks: union, intersection and complement are
+``|``, ``&`` and ``^``, and the sorted index tuple is built only when read.
+Exhaustive event enumeration is capped at K = 20 outcomes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from math import isfinite
-from operator import lt
 from typing import Iterator
 
 from ._num import json_list, to_float
@@ -18,6 +20,8 @@ from .errors import SpaceTooLarge, UnknownLabel
 
 #: hard cap on exhaustive 2^K enumeration
 MAX_ENUM = 20
+
+_set = object.__setattr__  # fills the slots of a frozen Event
 
 
 @dataclass(frozen=True)
@@ -116,30 +120,44 @@ def space_from_json(obj: dict) -> OutcomeSpace:
     raise ValueError("not an outcome space: expected 'labels' or 'lo'/'hi'")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class Event:
-    """Subset of a size-``space_size`` outcome space, as sorted indices."""
+    """Subset of a size-``space_size`` outcome space, held as a bitmask.
 
-    indices: tuple[int, ...]
+    Bit ``i`` of ``mask`` is set when outcome ``i`` is in the event, so set
+    operations are bit operations.  ``indices``, the sorted members, is
+    built on first access; equality goes by ``(mask, space_size)``.
+    """
+
+    mask: int
     space_size: int
+    _indices: tuple | None = field(compare=False)
 
-    def __post_init__(self):
-        idx = tuple(self.indices)
-        object.__setattr__(self, "indices", idx)
-        if not all(map(lt, idx, idx[1:])):
-            raise ValueError("event indices must be strictly increasing")
-        # increasing indices lie in range when both ends do
-        if idx and not (0 <= idx[0] and idx[-1] < self.space_size):
-            raise ValueError("event index out of range")
+    def __init__(self, indices, space_size: int):
+        idx = tuple(map(operator.index, indices))
+        mask, top = 0, -1
+        for i in idx:  # validate and build the mask in one pass
+            if not top < i < space_size:
+                raise ValueError("event indices must be strictly increasing, in range(space_size)")
+            mask, top = mask | 1 << i, i
+        _set(self, "mask", mask)
+        _set(self, "space_size", space_size)
+        _set(self, "_indices", idx)
 
     @classmethod
     def from_indices(cls, indices, space_size: int) -> "Event":
-        return cls(tuple(sorted(set(indices))), space_size)
+        return cls(sorted(set(indices)), space_size)
 
     @classmethod
     def from_mask(cls, mask: int, space_size: int) -> "Event":
-        idx = tuple(i for i in range(space_size) if mask >> i & 1)
-        return cls(idx, space_size)
+        mask = operator.index(mask)
+        if not 0 <= mask < 1 << space_size:
+            raise ValueError(f"mask {mask} does not fit a space of {space_size} outcomes")
+        ev = object.__new__(cls)
+        _set(ev, "mask", mask)
+        _set(ev, "space_size", space_size)
+        _set(ev, "_indices", None)
+        return ev
 
     @classmethod
     def from_labels(cls, space: FiniteOutcomeSpace, labels) -> "Event":
@@ -147,34 +165,38 @@ class Event:
 
     @classmethod
     def empty(cls, space_size: int) -> "Event":
-        return cls((), space_size)
+        return cls.from_mask(0, space_size)
 
     @classmethod
     def full(cls, space_size: int) -> "Event":
-        return cls(tuple(range(space_size)), space_size)
+        return cls.from_mask((1 << space_size) - 1, space_size)
 
     @property
-    def mask(self) -> int:
-        m = 0
-        for i in self.indices:
-            m |= 1 << i
-        return m
+    def indices(self) -> tuple[int, ...]:
+        if self._indices is None:
+            bits = bin(self.mask)[:1:-1]  # bit i at position i
+            _set(self, "_indices", tuple(i for i, b in enumerate(bits) if b == "1"))
+        return self._indices
+
+    def __repr__(self):
+        return f"Event(indices={self.indices!r}, space_size={self.space_size!r})"
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return self.mask.bit_count()
 
-    def __contains__(self, i: int) -> bool:
-        return i in self.indices
+    def __contains__(self, i) -> bool:
+        """Whether integer ``i`` (a Python or numpy int) is a member."""
+        i = operator.index(i)
+        return 0 <= i < self.space_size and self.mask >> i & 1 == 1
 
     def issubset(self, other: "Event") -> bool:
-        return set(self.indices) <= set(other.indices)
+        return self.mask & ~other.mask == 0
 
     def union(self, other: "Event") -> "Event":
-        return Event.from_indices(self.indices + other.indices, self.space_size)
+        return Event.from_mask(self.mask | other.mask, self.space_size)
 
     def intersection(self, other: "Event") -> "Event":
-        common = set(self.indices) & set(other.indices)
-        return Event.from_indices(common, self.space_size)
+        return Event.from_mask(self.mask & other.mask, self.space_size)
 
     def to_labels(self, space: FiniteOutcomeSpace) -> list:
         return [space.labels[i] for i in self.indices]
@@ -182,9 +204,8 @@ class Event:
 
 def complement(event: Event) -> Event:
     """Set complement within the event's space."""
-    present = set(event.indices)
-    rest = tuple(i for i in range(event.space_size) if i not in present)
-    return Event(rest, event.space_size)
+    n = event.space_size
+    return Event.from_mask(event.mask ^ ((1 << n) - 1), n)
 
 
 def enumerate_events(space: OutcomeSpace) -> Iterator[Event]:

@@ -79,30 +79,33 @@ def _check_event(c: Contour, event: Event):
         raise ValueError("event does not belong to the contour's space")
 
 
-def _max_over(c: Contour, indices) -> Scalar:
-    """Largest contour value at ``indices``, 0 when there are none.
-
-    The comparison runs on the levels: int ranks on an exact contour.
-    """
-    if not indices:
-        return zero_like(c.values)
-    levels = c.levels.tolist()
-    return c.values[max(indices, key=levels.__getitem__)]
-
-
 def upper_prob(c: Contour, event: Event) -> Scalar:
-    """Possibility of an event: max of the contour over it."""
+    """Possibility of an event: max of the contour over it.
+
+    The value of the first entry of the contour's level chain whose bit is
+    in the event's mask; on a random event that takes about two steps.
+    """
     _require_consonant(c)
     _check_event(c, event)
-    return _max_over(c, event.indices)
+    mask = event.mask
+    for bit, value, _ in c.chain:
+        if mask & bit:
+            return value
+    return zero_like(c.values)
 
 
 def lower_prob(c: Contour, event: Event) -> Scalar:
-    """Necessity of an event, dual to :func:`upper_prob`."""
+    """Necessity of an event, dual to :func:`upper_prob`: 1 - upper(A^c).
+
+    The stored ``1 - value`` of the first chain entry outside the mask.
+    """
     _require_consonant(c)
     _check_event(c, event)
-    inside = set(event.indices)
-    return 1 - _max_over(c, [i for i in range(event.space_size) if i not in inside])
+    mask = event.mask
+    for bit, _, rest in c.chain:
+        if not mask & bit:
+            return rest
+    return 1 - zero_like(c.values)
 
 
 def upper_table(c: Contour) -> list:
@@ -185,14 +188,14 @@ class MassFunction:
 
     def belief(self, event: Event) -> Scalar:
         """Total mass of focal events inside ``event``."""
-        target = set(event.indices)
-        vals = [m for ev, m in self.masses.items() if set(ev.indices) <= target]
+        outside = ~event.mask
+        vals = [m for ev, m in self.masses.items() if not ev.mask & outside]
         return sum(vals) if vals else zero_like(self.masses.values())
 
     def plausibility(self, event: Event) -> Scalar:
         """Total mass of focal events hitting ``event``."""
-        target = set(event.indices)
-        vals = [m for ev, m in self.masses.items() if set(ev.indices) & target]
+        target = event.mask
+        vals = [m for ev, m in self.masses.items() if ev.mask & target]
         return sum(vals) if vals else zero_like(self.masses.values())
 
 

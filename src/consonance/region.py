@@ -69,8 +69,8 @@ def _check_alpha(alpha: Scalar):
 
 
 def _cut_event(c: Contour, alpha: Scalar) -> Event:
-    idx = np.flatnonzero(c.levels > c.threshold(alpha)).tolist()
-    return Event(tuple(idx), c.size)
+    cut = np.packbits(c.levels > c.threshold(alpha), bitorder="little")
+    return Event.from_mask(int.from_bytes(cut, "little"), c.size)
 
 
 def _intersection_event(c: Contour, table: np.ndarray, alpha: Scalar) -> Event:
@@ -181,12 +181,12 @@ def compare_measures(
     """Transduce with both measures and compare the resulting regions."""
     r1 = cpr(transduce_grid(data, space, psi1).contour, alpha)
     r2 = cpr(transduce_grid(data, space, psi2).contour, alpha)
-    s1, s2 = set(r1.event.indices), set(r2.event.indices)
-    if s1 == s2:
+    e1, e2 = r1.event, r2.event
+    if e1 == e2:
         relation = "equal"
-    elif s1 < s2:
+    elif e1.issubset(e2):
         relation = "subset"
-    elif s1 > s2:
+    elif e2.issubset(e1):
         relation = "superset"
     else:
         relation = "incomparable"

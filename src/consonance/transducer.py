@@ -196,7 +196,7 @@ class Contour:
     values and provenance.
     """
 
-    __slots__ = ("space", "provenance", "ranks", "den", "max_level", "_values")
+    __slots__ = ("space", "provenance", "ranks", "den", "max_level", "_values", "_chain")
 
     def __init__(self, space: OutcomeSpace, values, provenance: str = "analytic"):
         vals = tuple(values)
@@ -240,6 +240,7 @@ class Contour:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "max_level", max_level)
         object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_chain", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -255,6 +256,17 @@ class Contour:
                 self, "_values", tuple(Fraction(k, den) for k in self.ranks.tolist())
             )
         return self._values
+
+    @property
+    def chain(self) -> tuple:
+        """The level chain: ``(1 << i, value, 1 - value)`` per outcome, highest
+        level first, ties in index order (a stable sort); built on first use."""
+        if self._chain is None:
+            levels, values = self.levels.tolist(), self.values
+            order = sorted(range(self.size), key=levels.__getitem__, reverse=True)
+            chain = tuple((1 << i, values[i], 1 - values[i]) for i in order)
+            object.__setattr__(self, "_chain", chain)
+        return self._chain
 
     @property
     def levels(self) -> np.ndarray:

@@ -115,6 +115,12 @@ class TestEvent:
         assert a.intersection(b).issubset(a)
         assert not a.issubset(b)
 
+    def test_from_mask_rejects_bits_outside_the_space(self):
+        # these used to give the empty, the full and the {0} event
+        for mask in (16, -1, 17):
+            with pytest.raises(ValueError):
+                Event.from_mask(mask, 4)
+
     @given(events())
     def test_mask_round_trip(self, ev):
         assert Event.from_mask(ev.mask, ev.space_size) == ev
