@@ -20,7 +20,10 @@ FLOAT_TOL = 1e-12
 
 
 def all_rational(values) -> bool:
-    return all(isinstance(v, (int, Fraction)) and not isinstance(v, bool) for v in values)
+    """True when every value is an int or a Fraction (never a bool)."""
+    return all(
+        issubclass(t, (int, Fraction)) and not issubclass(t, bool) for t in set(map(type, values))
+    )
 
 
 def tolerance(*groups) -> Scalar:

@@ -54,6 +54,8 @@ __all__ = [
 
 #: extreme-point enumeration walks K! permutations
 _MAX_PERMUTE = 8
+#: Dirichlet proposals per credal sample before the extreme-point fallback
+_PROPOSALS = 64
 
 
 @dataclass(frozen=True)
@@ -129,11 +131,13 @@ def _prob_table(weights: np.ndarray, zero=0) -> np.ndarray:
     Doubling from the highest outcome down: the events whose lowest member
     is j are the events of higher outcomes only, each with j added.  Each
     sum therefore adds its weights from the highest index to the lowest.
+    Leading dimensions of ``weights`` are a batch: one table per row, each
+    summed as the row alone would be.
     """
-    k = len(weights)
-    table = np.full(1 << k, zero, dtype=weights.dtype)
+    k = weights.shape[-1]
+    table = np.full((*weights.shape[:-1], 1 << k), zero, dtype=weights.dtype)
     for j in reversed(range(k)):
-        table[1 << j :: 2 << j] = table[0 :: 2 << j] + weights[j]
+        table[..., 1 << j :: 2 << j] = table[..., 0 :: 2 << j] + weights[..., j, None]
     return table
 
 
@@ -171,10 +175,19 @@ def extreme_points(c: Contour, space=None) -> list[ProbabilityVector]:
     compares the contour's levels (int ranks on an exact contour), with no
     float tolerance; the weights, as values, are worked out for the first
     order to reach each vertex only.  K <= 8.
+
+    The vertices are worked out once per contour and kept on it; each call
+    returns them in a fresh list, which the caller may change freely.
     """
     _check_space(c, space)
     if c.size > _MAX_PERMUTE:
         raise SpaceTooLarge(f"{c.size}! permutations exceed the budget")
+    if c._extremes is None:  # the contour's own slot, filled once
+        object.__setattr__(c, "_extremes", _vertices(c))
+    return list(c._extremes)
+
+
+def _vertices(c: Contour) -> tuple[ProbabilityVector, ...]:
     levels = _max_table(c).tolist()
     seen = set()
     firsts = []
@@ -193,17 +206,18 @@ def extreme_points(c: Contour, space=None) -> list[ProbabilityVector]:
             seen.add(key)
             firsts.append(order)
     up = upper_table(c)
+    zero = zero_like(c.values)
     out = []
     for order in firsts:
-        weights = [zero_like(c.values)] * c.size
+        weights = [zero] * c.size
         prefix = 0
-        prev = zero_like(c.values)
+        prev = zero
         for i in order:
             prefix |= 1 << i
             weights[i] = up[prefix] - prev
             prev = up[prefix]
         out.append(ProbabilityVector(tuple(weights)))
-    return out
+    return tuple(out)
 
 
 def lower_entropy(c: Contour, space=None) -> float:
@@ -225,11 +239,15 @@ def lower_entropy(c: Contour, space=None) -> float:
 def sample_credal(c: Contour, space=None, count: int = 1, seed: int = 0) -> list[ProbabilityVector]:
     """Draw ``count`` members of the credal set, deterministically per seed.
 
-    Uniform Dirichlet proposals filtered by membership; if a draw keeps
-    missing (tiny credal sets), fall back to a random convex mixture of the
-    extreme points, which is a member by construction.  Each proposal gets
-    the float64 test of :func:`in_credal_set` against a bound built once
-    per call; only accepted draws become :class:`ProbabilityVector`.
+    Uniform Dirichlet proposals filtered by membership; if 64 in a row miss
+    (tiny credal sets), fall back to a random convex mixture of the extreme
+    points, which is a member by construction.  The 64 proposals of a
+    sample are drawn as one batch and tested at once, with the float64
+    test of :func:`in_credal_set`, against a bound built once per call.
+    numpy draws a batch of Dirichlet rows exactly as it draws them one at
+    a time, so after a hit the generator is rewound and advanced by the
+    rows up to the hit only: the stream and every sample are those of
+    testing one proposal at a time.
     """
     _check_space(c, space)
     if count < 0:
@@ -240,13 +258,16 @@ def sample_credal(c: Contour, space=None, count: int = 1, seed: int = 0) -> list
     extremes = None
     out = []
     for _ in range(count):
-        vec = None
-        for _ in range(64):
-            w = rng.dirichlet(ones)
-            if np.all(_prob_table(w) <= bound):
-                vec = ProbabilityVector(tuple(float(x) for x in w))
-                break
-        if vec is None:
+        state = rng.bit_generator.state
+        ws = rng.dirichlet(ones, size=_PROPOSALS)
+        hits = np.flatnonzero(np.all(_prob_table(ws) <= bound, axis=-1))
+        if hits.size:
+            first = int(hits[0])
+            if first < _PROPOSALS - 1:  # consume only the proposals up to the hit
+                rng.bit_generator.state = state
+                rng.dirichlet(ones, size=first + 1)
+            w = ws[first]
+        else:
             if extremes is None:
                 extremes = np.array(
                     [p.as_floats() for p in extreme_points(c)], dtype=float
@@ -254,8 +275,7 @@ def sample_credal(c: Contour, space=None, count: int = 1, seed: int = 0) -> list
             lam = rng.dirichlet(np.ones(len(extremes)))
             w = lam @ extremes
             w = w / w.sum()  # numpy's dirichlet can sit one ulp off the simplex
-            vec = ProbabilityVector(tuple(float(x) for x in w))
-        out.append(vec)
+        out.append(ProbabilityVector(tuple(float(x) for x in w)))
     return out
 
 

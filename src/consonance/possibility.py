@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -58,12 +59,12 @@ __all__ = [
 ]
 
 def is_consonant(c: Contour) -> bool:
-    """True when the contour attains 1 somewhere."""
-    return c.max_level == c.threshold(1)  # the level that stands for 1
+    """True when the contour attains 1 somewhere (decided when it was built)."""
+    return c._consonant
 
 
 def _require_consonant(c: Contour):
-    if not is_consonant(c):
+    if not c._consonant:
         raise NonConsonantContour(
             "contour does not attain 1; apply an adjustment first"
         )
@@ -304,6 +305,17 @@ def _submasks(mask: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=32)  # pools are 2^i <= 64 events and j <= 4: 28 keys at most
+def _combination_index(n: int, j: int) -> np.ndarray:
+    """Every j-combination of ``range(n)`` in lexicographic order, one per
+    row of a read-only ``(C(n, j), j)`` int64 array."""
+    combos = np.fromiter(
+        (i for c in combinations(range(n), j) for i in c), dtype=np.int64
+    ).reshape(-1, j)
+    combos.flags.writeable = False
+    return combos
+
+
 def _scan_capacity(table, k: int, space_size: int, alternating: bool):
     """Shared sweep for the k-monotone / k-alternating checks.
 
@@ -336,10 +348,7 @@ def _scan_capacity(table, k: int, space_size: int, alternating: bool):
         for j in range(1, k + 1):
             if j > len(pool):
                 break
-            combos = np.fromiter(
-                (i for c in combinations(range(len(pool)), j) for i in c),
-                dtype=np.int64,
-            ).reshape(-1, j)
+            combos = _combination_index(len(pool), j)
             masks = pool_arr[combos]
             rhs = np.zeros(len(combos), dtype=arr.dtype)
             for r in range(1, j + 1):

@@ -187,8 +187,12 @@ class Contour:
     ``values`` is then a tuple of Fractions built once, on first use.  A
     contour with any float value, or whose common denominator is too
     large, keeps ``values`` as given, and ``ranks`` and ``den`` are None.
-    ``max_level`` is the largest of ``levels`` as a Python scalar, kept
-    from construction.
+    ``max_level`` (the largest of ``levels``, as a Python scalar) and
+    ``size`` (the number of outcomes) are kept from construction, and so
+    is consonance: whether ``max_level`` is ``threshold(1)``.
+    What a contour derives for its queries -- the level chain here, the
+    credal set's extreme points in :mod:`consonance.credal` -- is built on
+    first use and kept in a private slot, so no cache outlives its contour.
     ``provenance`` records how the contour arose:
     "raw" out of the transducer, "prime-adjusted"/"double-prime-adjusted"
     after the respective normalization, "analytic" for everything built
@@ -196,7 +200,10 @@ class Contour:
     values and provenance.
     """
 
-    __slots__ = ("space", "provenance", "ranks", "den", "max_level", "_values", "_chain")
+    __slots__ = (
+        "space", "provenance", "ranks", "den", "max_level", "size",
+        "_consonant", "_values", "_chain", "_extremes",
+    )
 
     def __init__(self, space: OutcomeSpace, values, provenance: str = "analytic"):
         vals = tuple(values)
@@ -239,8 +246,12 @@ class Contour:
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "max_level", max_level)
+        object.__setattr__(self, "size", space.size)
+        # the level that stands for 1 is threshold(1)
+        object.__setattr__(self, "_consonant", max_level == (den if ranks is not None else 1))
         object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_chain", None)
+        object.__setattr__(self, "_extremes", None)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -309,10 +320,6 @@ class Contour:
             f"Contour(space={self.space!r}, values={self.values!r}, "
             f"provenance={self.provenance!r})"
         )
-
-    @property
-    def size(self) -> int:
-        return self.space.size
 
     def max_value(self) -> Scalar:
         if self.ranks is None:

@@ -10,6 +10,7 @@ rationals.
 
 import re
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -20,6 +21,10 @@ settings.load_profile("suite")
 
 
 ABC_BAG = ("A",) * 20 + ("B",) * 30 + ("C",) * 50
+
+#: the trapezoid rule; numpy before 2.0, down to the declared floor of
+#: 1.24, names it ``trapz``
+trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
 @pytest.fixture(scope="session")

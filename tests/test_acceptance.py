@@ -49,7 +49,7 @@ from consonance import (
 )
 from consonance.cli import main as cli_main
 
-from conftest import ABC_BAG
+from conftest import ABC_BAG, trapezoid
 
 
 def rational_contour(rng: random.Random, k: int) -> Contour:
@@ -259,7 +259,7 @@ def _quadrature_pmf(a, b, y, nodes=200001):
         logu = np.where(u > 0, np.log(u), -np.inf)
         power = np.where((u == 0) & (expo == 0), 0.0, expo * logu)
     vals = np.exp(const + power - (b + 1) * u * u)
-    return float(np.trapezoid(vals, u))
+    return float(trapezoid(vals, u))
 
 
 def test_criterion_09_predictive_pipeline():

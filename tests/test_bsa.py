@@ -28,6 +28,8 @@ from consonance import (
     predictive_pmf,
 )
 
+from conftest import trapezoid
+
 
 def quadrature_pmf(a, b, y, nodes=200001):
     """Trapezoid-rule value of the predictive integral, via lam = u^2."""
@@ -40,7 +42,7 @@ def quadrature_pmf(a, b, y, nodes=200001):
         logu = np.where(u > 0, np.log(u), -np.inf)
         power = np.where((u == 0) & (expo == 0), 0.0, expo * logu)
     vals = np.exp(const + power - (b + 1) * u * u)
-    return float(np.trapezoid(vals, u))
+    return float(trapezoid(vals, u))
 
 
 class TestPosteriorUpdate:
