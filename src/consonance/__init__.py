@@ -66,6 +66,7 @@ from .possibility import (
     check_k_alternating,
     check_k_monotone,
     cloud_gamma,
+    focal_chain,
     focal_elements,
     is_consonant,
     lower_prob,

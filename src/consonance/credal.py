@@ -15,9 +15,8 @@ survive rounding.
 
 The 2^K dominance check runs on one kind of numpy array -- int64 when
 the tolerance is rational and the contour and the point rescale to
-integers over one denominator, float64 when the point and the tolerance
-are floats, object arrays otherwise -- and gives every event the verdict
-of the Python comparison.
+integers over one denominator, object arrays otherwise -- and gives every
+event the verdict of the Python comparison.
 
 Extreme points come from the classic permutation construction: walk the
 outcomes in some order and assign each the increment of the upper
@@ -25,7 +24,8 @@ probability over the prefix.  The K! walk compares levels (int ranks on
 an exact contour); weights are worked out in values for the distinct
 vertices only.  Consonance puts a point mass at any outcome with contour
 value 1, which is why the minimum Shannon entropy over the credal set is
-always zero here.
+always zero here.  Sampling spreads each mass of the focal chain over
+its focal set (Dempster 1967; Chateauneuf & Jaffray 1989), with neither.
 """
 
 from __future__ import annotations
@@ -36,10 +36,10 @@ from math import floor, log, sqrt
 
 import numpy as np
 
-from ._num import FLOAT_TOL, Scalar, all_rational, common_integers, tolerance, zero_like
+from ._num import Scalar, all_rational, common_integers, tolerance, zero_like
 from .errors import SpaceTooLarge, WrongDimension
 from .outcome import Event
-from .possibility import _check_space, _max_table, _require_consonant, upper_table
+from .possibility import _check_space, _max_table, _require_consonant, focal_chain, upper_table
 from .transducer import Contour
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
 
 #: extreme-point enumeration walks K! permutations
 _MAX_PERMUTE = 8
-#: Dirichlet proposals per credal sample before the extreme-point fallback
-_PROPOSALS = 64
 
 
 @dataclass(frozen=True)
@@ -100,9 +98,8 @@ def in_credal_set(
     * int64 when the values, the weights and ``tol`` are rational and the
       values and weights rescale to integers over one denominator ``d``:
       ``P·d - upper·d <= floor(tol·d)``;
-    * float64 when the weights and ``tol`` are floats: each value converts
-      as ``float()`` converts it, and sums add in the Python order;
-    * otherwise object arrays of the values: the Python loop itself.
+    * otherwise object arrays of the values: the Python loop itself, with
+      each sum added in the order of the loop.
     """
     _check_space(c, space)
     if p.size != c.size:
@@ -116,11 +113,6 @@ def in_credal_set(
             nums, d = np.array(scaled[0], dtype=np.int64), scaled[1]
             up = _max_table(c, nums[: c.size])
             return bool(np.all(_prob_table(nums[c.size :]) - up <= floor(tol * d)))
-    elif all(isinstance(v, float) for v in (*w, tol)):
-        # float() rounds monotonically, so the max-table of the rounded
-        # values holds the rounded upper probabilities
-        up = _max_table(c, np.array([float(v) for v in c.values]))
-        return bool(np.all(_prob_table(np.array(w, dtype=np.float64)) <= up + tol))
     pt = _prob_table(np.array(w, dtype=object), zero_like(w))
     return bool(np.all(pt <= np.array(upper_table(c), dtype=object) + tol))
 
@@ -131,13 +123,11 @@ def _prob_table(weights: np.ndarray, zero=0) -> np.ndarray:
     Doubling from the highest outcome down: the events whose lowest member
     is j are the events of higher outcomes only, each with j added.  Each
     sum therefore adds its weights from the highest index to the lowest.
-    Leading dimensions of ``weights`` are a batch: one table per row, each
-    summed as the row alone would be.
     """
-    k = weights.shape[-1]
-    table = np.full((*weights.shape[:-1], 1 << k), zero, dtype=weights.dtype)
+    k = len(weights)
+    table = np.full(1 << k, zero, dtype=weights.dtype)
     for j in reversed(range(k)):
-        table[..., 1 << j :: 2 << j] = table[..., 0 :: 2 << j] + weights[..., j, None]
+        table[1 << j :: 2 << j] = table[0 :: 2 << j] + weights[j]
     return table
 
 
@@ -239,43 +229,26 @@ def lower_entropy(c: Contour, space=None) -> float:
 def sample_credal(c: Contour, space=None, count: int = 1, seed: int = 0) -> list[ProbabilityVector]:
     """Draw ``count`` members of the credal set, deterministically per seed.
 
-    Uniform Dirichlet proposals filtered by membership; if 64 in a row miss
-    (tiny credal sets), fall back to a random convex mixture of the extreme
-    points, which is a member by construction.  The 64 proposals of a
-    sample are drawn as one batch and tested at once, with the float64
-    test of :func:`in_credal_set`, against a bound built once per call.
-    numpy draws a batch of Dirichlet rows exactly as it draws them one at
-    a time, so after a hit the generator is rewound and advanced by the
-    rows up to the hit only: the stream and every sample are those of
-    testing one proposal at a time.
+    Each sample spreads every mass ``m(A_i)`` of :func:`focal_chain` over
+    its set ``A_i`` with a flat Dirichlet -- standard exponentials on the
+    members of ``A_i``, normalised -- and adds the pieces.  Every draw is a
+    member by construction, outcomes with contour value 0 get weight 0,
+    and no 2^K table or vertex is needed, so any K works.  The samples are
+    independent float vectors, drawn one at a time; their mean is the
+    pignistic transform ``BetP(y) = sum of m(A_i)/|A_i| over A_i containing y``.
     """
     _check_space(c, space)
     if count < 0:
         raise ValueError("count must be nonnegative")
+    focal = [(list(ev.indices), float(m)) for ev, m in focal_chain(c)]
     rng = np.random.default_rng(seed)
-    ones = np.ones(c.size)
-    bound = _max_table(c, np.array([float(v) for v in c.values])) + FLOAT_TOL
-    extremes = None
     out = []
     for _ in range(count):
-        state = rng.bit_generator.state
-        ws = rng.dirichlet(ones, size=_PROPOSALS)
-        hits = np.flatnonzero(np.all(_prob_table(ws) <= bound, axis=-1))
-        if hits.size:
-            first = int(hits[0])
-            if first < _PROPOSALS - 1:  # consume only the proposals up to the hit
-                rng.bit_generator.state = state
-                rng.dirichlet(ones, size=first + 1)
-            w = ws[first]
-        else:
-            if extremes is None:
-                extremes = np.array(
-                    [p.as_floats() for p in extreme_points(c)], dtype=float
-                )
-            lam = rng.dirichlet(np.ones(len(extremes)))
-            w = lam @ extremes
-            w = w / w.sum()  # numpy's dirichlet can sit one ulp off the simplex
-        out.append(ProbabilityVector(tuple(float(x) for x in w)))
+        w = np.zeros(c.size)
+        for members, mass in focal:
+            e = rng.standard_exponential(len(members))
+            w[members] += mass * (e / e.sum())  # exactly mass on a singleton
+        out.append(ProbabilityVector(tuple(w.tolist())))
     return out
 
 

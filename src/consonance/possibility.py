@@ -7,11 +7,12 @@ by maximization and, by duality, a necessity measure (lower probability):
     lower(A) = 1 - upper(complement of A)
 
 The lower probability of a consonant contour is a belief function whose
-Moebius mass sits on a nested chain of focal events; the induced upper/lower
-pair also passes every k-alternating/k-monotone test within budget.  Both
-facts are checkable here: :func:`mass_from_belief` inverts any belief
-function exactly, :func:`check_k_monotone` / :func:`check_k_alternating`
-sweep all collections of distinct events up to size k.
+Moebius mass sits on a nested chain of focal events (:func:`focal_chain`);
+the induced upper/lower pair also passes every k-alternating/k-monotone
+test within budget.  Both facts are checkable here: :func:`mass_from_belief`
+inverts any belief function exactly, and :func:`check_k_monotone` /
+:func:`check_k_alternating` sweep all collections of distinct events up
+to size k.
 
 Maximization makes the calculus tropical: events under union map to values
 under max (:func:`tropical_sum`), turning finite additivity into the
@@ -47,6 +48,7 @@ __all__ = [
     "upper_table",
     "MassFunction",
     "mass_from_belief",
+    "focal_chain",
     "FocalSet",
     "focal_elements",
     "Witness",
@@ -109,6 +111,27 @@ def lower_prob(c: Contour, event: Event) -> Scalar:
     return 1 - zero_like(c.values)
 
 
+def focal_chain(c: Contour) -> list[tuple[Event, Scalar]]:
+    """The Moebius masses of the lower probability: ``(A_i, m(A_i))`` pairs.
+
+    With distinct levels ``l_1 = 1 > ... > l_m`` and ``l_{m+1} = 0``, the
+    focal sets are ``A_i = {pi >= l_i}`` and ``m(A_i) = l_i - l_{i+1}``,
+    innermost first, read off :attr:`Contour.chain` with ties merged: no
+    2^K table, any K.  Masses are Fractions on a rank contour and use the
+    values' own arithmetic otherwise.
+    """
+    _require_consonant(c)
+    chain = c.chain
+    belows = [value for _, value, _ in chain[1:]] + [zero_like(c.values)]
+    out = []
+    mask = 0
+    for (bit, value, _), below in zip(chain, belows):
+        mask |= bit
+        if (mass := value - below) > 0:
+            out.append((Event.from_mask(mask, c.size), mass))
+    return out
+
+
 def upper_table(c: Contour) -> list:
     """Possibility of every event, indexed by bitmask.  O(2^K)."""
     table = _max_table(c).tolist()
@@ -151,11 +174,11 @@ def _max_table(c: Contour, levels: np.ndarray | None = None) -> np.ndarray:
     """The largest of ``levels`` in every event, indexed by bitmask.
 
     ``levels`` (default ``c.levels``) may be any array that orders the
-    outcomes as the values do, such as the values as floats.  Doubling:
-    the events containing outcome j are the events without it, each with j
-    added, so ``t[2^j:2^(j+1)] = max(levels[j], t[:2^j])``.  On a tie the
-    level wins, so every nonempty event holds one of the given levels; the
-    empty event holds 0.
+    outcomes as the values do, such as integers over a shared denominator.
+    Doubling: the events containing outcome j are the events without it,
+    each with j added, so ``t[2^j:2^(j+1)] = max(levels[j], t[:2^j])``.  On
+    a tie the level wins, so every nonempty event holds one of the given
+    levels; the empty event holds 0.
     """
     if c.size > MAX_ENUM:
         raise SpaceTooLarge(f"2^{c.size} events exceed the enumeration budget")

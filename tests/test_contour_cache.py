@@ -1,13 +1,10 @@
-"""Per-contour caches and batched credal proposals against the code they replaced.
+"""Per-contour caches against the code they replaced.
 
 A contour decides consonance once, when it is built, and keeps its credal
-vertices after the first ``extreme_points``; ``sample_credal`` draws and
-tests its 64 Dirichlet proposals as one batch and rewinds the generator to
-just past the first hit.  Each must give exactly what the old code gave:
-the same samples, bit for bit, whichever proposal is accepted (the first,
-a middle one, the last, or none, which falls back to the extreme points),
-the same vertices, the same entropy, the same consonance verdicts.  The
-old code is kept below verbatim as the reference.
+vertices after the first ``extreme_points``.  Each must give exactly what
+the old code gave: the same vertices, the same entropy, the same
+consonance verdicts.  The old code is kept below verbatim as the
+reference.
 """
 
 from dataclasses import FrozenInstanceError
@@ -27,11 +24,9 @@ from consonance import (
     extreme_points,
     is_consonant,
     lower_entropy,
-    sample_credal,
     upper_table,
 )
-from consonance._num import FLOAT_TOL, all_rational, zero_like
-from consonance.credal import _prob_table
+from consonance._num import all_rational, zero_like
 from consonance.errors import SpaceTooLarge
 from consonance.possibility import _combination_index, _max_table
 
@@ -49,14 +44,6 @@ def _old_all_rational(values) -> bool:
 
 def _old_is_consonant(c):
     return c.max_level == c.threshold(1)  # the level that stands for 1
-
-
-def _old_prob_table(weights: np.ndarray, zero=0) -> np.ndarray:
-    k = len(weights)
-    table = np.full(1 << k, zero, dtype=weights.dtype)
-    for j in reversed(range(k)):
-        table[1 << j :: 2 << j] = table[0 :: 2 << j] + weights[j]
-    return table
 
 
 def _old_extreme_points(c):
@@ -100,36 +87,6 @@ def _old_lower_entropy(c):
     return best + 0.0  # turn -0.0 into 0.0
 
 
-def _old_sample_credal(c, count, seed, accepted=None):
-    """The per-proposal loop; ``accepted`` collects the index of the
-    accepted proposal of each sample, None for the fallback."""
-    rng = np.random.default_rng(seed)
-    ones = np.ones(c.size)
-    bound = _max_table(c, np.array([float(v) for v in c.values])) + FLOAT_TOL
-    extremes = None
-    out = []
-    for _ in range(count):
-        vec = None
-        for t in range(64):
-            w = rng.dirichlet(ones)
-            if np.all(_old_prob_table(w) <= bound):
-                vec = ProbabilityVector(tuple(float(x) for x in w))
-                break
-        if accepted is not None:
-            accepted.append(t if vec is not None else None)
-        if vec is None:
-            if extremes is None:
-                extremes = np.array(
-                    [p.as_floats() for p in _old_extreme_points(c)], dtype=float
-                )
-            lam = rng.dirichlet(np.ones(len(extremes)))
-            w = lam @ extremes
-            w = w / w.sum()  # numpy's dirichlet can sit one ulp off the simplex
-            vec = ProbabilityVector(tuple(float(x) for x in w))
-        out.append(vec)
-    return out
-
-
 # -- strategies --------------------------------------------------------------
 
 #: values with equal Fraction and float twins, and near misses
@@ -158,77 +115,6 @@ def contours(draw, max_k=7, consonant=True):
 
 def _kinds(points):
     return [tuple(type(w) for w in p.weights) for p in points]
-
-
-# -- batched proposals -------------------------------------------------------
-
-
-class TestBatchedProposals:
-    @settings(max_examples=60)
-    @given(contours(), st.integers(0, 6), st.integers(0, 2**31))
-    def test_seeded_draws_match_the_per_proposal_loop(self, c, count, seed):
-        assert sample_credal(c, count=count, seed=seed) == _old_sample_credal(c, count, seed)
-
-    #: (contour values, seed, index of the first sample's accepted proposal)
-    CASES = [
-        ((Fraction(1), Fraction(1, 10), Fraction(1, 10)), 92, 0),
-        ((Fraction(1), Fraction(1, 10), Fraction(1, 10)), 34, 31),
-        ((Fraction(1), Fraction(1, 10), Fraction(1, 10)), 193, 63),
-        ((Fraction(1), Fraction(1, 10), Fraction(1, 10)), 0, None),
-        ((1.0, 0.3, 0.2, 0.1), 72, 0),
-        ((1.0, 0.3, 0.2, 0.1), 185, 31),
-        ((1.0, 0.3, 0.2, 0.1), 130, 63),
-        ((1.0, 0.3, 0.2, 0.1), 0, None),
-        ((Fraction(1), Fraction(1, 2), 0.25, Fraction(1, 3), 0.2), 41, 0),
-        ((Fraction(1), Fraction(1, 2), 0.25, Fraction(1, 3), 0.2), 90, 31),
-        ((Fraction(1), Fraction(1, 2), 0.25, Fraction(1, 3), 0.2), 546, 63),
-        ((Fraction(1), Fraction(1, 2), 0.25, Fraction(1, 3), 0.2), 1, None),
-    ]
-
-    @pytest.mark.parametrize("vals, seed, first", CASES)
-    def test_first_middle_last_and_no_accepted_proposal(self, vals, seed, first):
-        c = Contour(_space(len(vals)), vals)
-        for count in range(7):
-            accepted = []
-            old = _old_sample_credal(c, count, seed, accepted)
-            assert accepted[:1] == ([first] if count else [])
-            new = sample_credal(c, count=count, seed=seed)
-            assert new == old
-            assert _kinds(new) == _kinds(old)
-
-    def test_point_mass_contour_always_falls_back(self):
-        c = Contour(_space(4), (Fraction(1), Fraction(0), Fraction(0), Fraction(0)))
-        accepted = []
-        old = _old_sample_credal(c, 5, 3, accepted)
-        assert accepted == [None] * 5
-        assert sample_credal(c, count=5, seed=3) == old
-
-    def test_vacuous_contour_accepts_every_first_proposal(self):
-        c = Contour(_space(6), (1,) * 6)
-        accepted = []
-        old = _old_sample_credal(c, 6, 9, accepted)
-        assert accepted == [0] * 6
-        assert sample_credal(c, count=6, seed=9) == old
-
-    @settings(max_examples=60)
-    @given(st.integers(1, 8), st.integers(1, 64), st.integers(0, 2**31))
-    def test_a_dirichlet_batch_is_the_sequential_rows(self, k, size, seed):
-        ones = np.ones(k)
-        batch, seq = np.random.default_rng(seed), np.random.default_rng(seed)
-        rows = batch.dirichlet(ones, size=size)
-        assert rows.shape == (size, k)
-        for row in rows:
-            assert np.array_equal(row, seq.dirichlet(ones))
-        assert batch.bit_generator.state == seq.bit_generator.state
-        assert batch.random() == seq.random()
-
-    @given(st.integers(1, 7), st.integers(1, 5), st.integers(0, 2**31))
-    def test_batched_prob_table_is_the_row_table(self, k, rows, seed):
-        ws = np.random.default_rng(seed).dirichlet(np.ones(k), size=rows)
-        table = _prob_table(ws)
-        assert table.shape == (rows, 1 << k)
-        for w, row in zip(ws, table):
-            assert np.array_equal(row, _old_prob_table(w))
 
 
 # -- cached extreme points ---------------------------------------------------

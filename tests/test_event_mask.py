@@ -27,11 +27,9 @@ from consonance import (
     complement,
     cpr,
     lower_prob,
-    sample_credal,
     upper_prob,
 )
 from consonance._num import zero_like
-from consonance.credal import ProbabilityVector, extreme_points, in_credal_set
 
 
 def _space(k):
@@ -113,32 +111,6 @@ def _old_upper_prob(c, event):
 def _old_lower_prob(c, event):
     inside = set(event.indices)
     return 1 - _old_max_over(c, [i for i in range(event.space_size) if i not in inside])
-
-
-def _old_sample_credal(c, count, seed):
-    rng = np.random.default_rng(seed)
-    ones = np.ones(c.size)
-    extremes = None
-    out = []
-    for _ in range(count):
-        vec = None
-        for _ in range(64):
-            w = rng.dirichlet(ones)
-            cand = ProbabilityVector(tuple(float(x) for x in w))
-            if in_credal_set(cand, c):
-                vec = cand
-                break
-        if vec is None:
-            if extremes is None:
-                extremes = np.array(
-                    [p.as_floats() for p in extreme_points(c)], dtype=float
-                )
-            lam = rng.dirichlet(np.ones(len(extremes)))
-            w = lam @ extremes
-            w = w / w.sum()
-            vec = ProbabilityVector(tuple(float(x) for x in w))
-        out.append(vec)
-    return out
 
 
 # -- strategies --------------------------------------------------------------
@@ -303,10 +275,3 @@ class TestLevelChain:
             new, old = Event.from_mask(m, 202), _OldEvent.from_mask(m, 202)
             assert _same(upper_prob(c, new), _old_upper_prob(c, old))
             assert _same(lower_prob(c, new), _old_lower_prob(c, old))
-
-
-class TestSampleCredal:
-    @settings(max_examples=40)
-    @given(contours(max_k=6), st.integers(0, 2**31))
-    def test_seeded_draws_match_the_membership_loop(self, c, seed):
-        assert sample_credal(c, count=3, seed=seed) == _old_sample_credal(c, 3, seed)
