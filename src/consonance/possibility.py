@@ -11,8 +11,10 @@ Moebius mass sits on a nested chain of focal events (:func:`focal_chain`);
 the induced upper/lower pair also passes every k-alternating/k-monotone
 test within budget.  Both facts are checkable here: :func:`mass_from_belief`
 inverts any belief function exactly, and :func:`check_k_monotone` /
-:func:`check_k_alternating` sweep all collections of distinct events up
-to size k.
+:func:`check_k_alternating` decide their order k from one table of the
+local differences ``sum_{E subset B} (-1)^|E| nu(A - E)`` over
+``1 <= |B| <= k`` (Chateauneuf & Jaffray 1989), which bound every
+collection of up to k distinct events at once.
 
 Maximization makes the calculus tropical: events under union map to values
 under max (:func:`tropical_sum`), turning finite additivity into the
@@ -23,13 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._num import FLOAT_TOL, Scalar, common_integers, tolerance, zero_like
+from ._num import Scalar, all_rational, common_integers, tolerance, zero_like
 from .errors import (
     BudgetExceeded,
     EmptyList,
@@ -37,7 +37,7 @@ from .errors import (
     NonConsonantContour,
     SpaceTooLarge,
 )
-from .outcome import MAX_ENUM, Event, complement
+from .outcome import MAX_ENUM, Event, complement, enumerate_events
 from .transducer import Contour
 
 __all__ = [
@@ -223,41 +223,46 @@ class MassFunction:
         return sum(vals) if vals else zero_like(self.masses.values())
 
 
+def _number_table(values: list, k: int) -> tuple[np.ndarray, int | None]:
+    """The 2^K ``values`` as one numpy array for an alternating-sum kernel.
+
+    int64 numerators over a common denominator when the values are all
+    Fractions or all ints and ``max|num| << k < 2^63``, so that no sum of
+    up to 2^k signed values can overflow; otherwise -- floats, mixed
+    kinds, denominators past the cap of :func:`common_integers`, integers
+    that could overflow -- an object array of the values, which repeats the
+    Python arithmetic of a loop and so keeps each result's kind.  Returns
+    ``(table, den)``; ``den`` is the denominator of int64 numerators of
+    Fractions, and None when each entry stands for itself.
+    """
+    kinds = set(map(type, values))
+    scaled = common_integers(values) if len(kinds) == 1 else None
+    if scaled is None or max(map(abs, scaled[0])) << k >= 1 << 63:
+        return np.array(values, dtype=object), None
+    return np.array(scaled[0], dtype=np.int64), scaled[1] if kinds == {Fraction} else None
+
+
 def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
     """Moebius inversion m(A) = sum_{B subset A} (-1)^|A-B| bel(B).
 
     ``bel`` is evaluated once per event; the alternating sum is the
     in-place fast subset transform (Kennes & Smets), O(K * 2^K), run over
-    one numpy array: int64 numerators over a common denominator when the
-    values are all Fractions or all ints and ``max|num| * 2^K < 2^63`` (no
-    partial sum can then overflow), and otherwise -- floats, mixed kinds,
-    denominators past the cap, integers that could overflow -- an object
-    array, which repeats the Python arithmetic of a loop and so keeps each
-    mass's kind.  Exact when ``bel`` returns rationals; with floats,
-    masses within ``FLOAT_TOL`` of 0 are dropped.
+    the array of :func:`_number_table`.  Exact when ``bel`` returns
+    rationals, and each mass keeps the values' kind; with floats, masses
+    within ``FLOAT_TOL`` of 0 are dropped.
     Raises :class:`NegativeMass`, naming the smallest mask, when the input
     is not a belief function (some mass comes out negative beyond that
     tolerance).
     """
     k = space.size
-    if k > MAX_ENUM:
-        raise SpaceTooLarge(f"2^{k} events exceed the enumeration budget")
-    f = [bel(Event.from_mask(m, k)) for m in range(1 << k)]
+    f = [bel(ev) for ev in enumerate_events(space)]
     tol = tolerance(f)
     if abs(f[0]) > tol:
         raise ValueError("bel(empty) must be 0")
     if abs(f[-1] - 1) > tol:
         raise ValueError("bel(full space) must be 1")
 
-    kinds = set(map(type, f))
-    scaled = common_integers(f) if len(kinds) == 1 else None
-    den = None  # the scale of int64 numerators of Fractions
-    if scaled is not None and max(map(abs, scaled[0])) << k < 1 << 63:
-        table = np.array(scaled[0], dtype=np.int64)
-        if kinds == {Fraction}:
-            den = scaled[1]
-    else:
-        table = np.array(f, dtype=object)
+    table, den = _number_table(f, k)
     for j in range(k):
         pairs = table.reshape(-1, 2, 1 << j)
         pairs[:, 1, :] -= pairs[:, 0, :]
@@ -297,7 +302,15 @@ def focal_elements(m: MassFunction) -> FocalSet:
 
 @dataclass(frozen=True)
 class Witness:
-    """First violating collection found by a capacity check."""
+    """First violation found by a capacity check.
+
+    Targets come in cardinality-then-mask order, and for each target the
+    local differences by ``|B|`` and then mask.  The collection is
+    ``{A - {b} : b in B}`` for a monotone check and ``{A | {b} : b in B}``
+    for an alternating one, sorted by mask; ``lhs`` is ``nu(A)`` and
+    ``rhs`` the inclusion-exclusion sum over the collection, a Fraction
+    when every value of ``nu`` is rational and a float otherwise.
+    """
 
     target: Event
     collection: tuple[Event, ...]
@@ -316,99 +329,57 @@ class CheckResult:
         return self.ok
 
 
-def _submasks(mask: int) -> list[int]:
-    out = []
-    s = mask
-    while True:
-        out.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    out.reverse()
-    return out
-
-
-@lru_cache(maxsize=32)  # pools are 2^i <= 64 events and j <= 4: 28 keys at most
-def _combination_index(n: int, j: int) -> np.ndarray:
-    """Every j-combination of ``range(n)`` in lexicographic order, one per
-    row of a read-only ``(C(n, j), j)`` int64 array."""
-    combos = np.fromiter(
-        (i for c in combinations(range(n), j) for i in c), dtype=np.int64
-    ).reshape(-1, j)
-    combos.flags.writeable = False
-    return combos
-
-
-def _scan_capacity(table, k: int, space_size: int, alternating: bool):
-    """Shared sweep for the k-monotone / k-alternating checks.
-
-    Targets in cardinality-then-lexicographic order; for each target the
-    admissible pool is its subsets (monotone) or supersets (alternating),
-    and every combination of 1..k distinct pool events is tested with the
-    inclusion-exclusion bound.  Numpy evaluates whole combination blocks;
-    rational capacities are rescaled to a common integer denominator so the
-    comparison is exact, float capacities treat violations within
-    ``FLOAT_TOL`` as ties.  Returns the first violation as
-    (target, combo_masks, rhs) -- rhs a Fraction when exact, else a float --
-    or None.
-    """
-    full = (1 << space_size) - 1
-    scaled = common_integers(table)
-    if scaled is not None:
-        arr, den = np.array(scaled[0], dtype=np.int64), scaled[1]
-        tol = 0
-    else:
-        arr = np.array([float(v) for v in table])
-        tol = FLOAT_TOL
-
-    targets = sorted(range(full + 1), key=lambda m: (bin(m).count("1"), m))
-    for a in targets:
-        if alternating:
-            pool = [a | x for x in _submasks(full ^ a)]
-        else:
-            pool = _submasks(a)
-        pool_arr = np.array(pool, dtype=np.int64)
-        for j in range(1, k + 1):
-            if j > len(pool):
-                break
-            combos = _combination_index(len(pool), j)
-            masks = pool_arr[combos]
-            rhs = np.zeros(len(combos), dtype=arr.dtype)
-            for r in range(1, j + 1):
-                sign = 1 if r % 2 else -1
-                for cols in combinations(range(j), r):
-                    m = masks[:, cols[0]]
-                    for col in cols[1:]:
-                        m = (m | masks[:, col]) if alternating else (m & masks[:, col])
-                    rhs = rhs + sign * arr[m]
-            if alternating:
-                bad = arr[a] > rhs + tol
-            else:
-                bad = arr[a] < rhs - tol
-            hits = np.flatnonzero(bad)
-            if hits.size:
-                first = int(hits[0])
-                bound = Fraction(int(rhs[first]), den) if scaled else float(rhs[first])
-                return a, tuple(int(m) for m in masks[first]), bound
-    return None
-
-
 def _run_check(nu, k, space, alternating: bool) -> CheckResult:
-    if space.size > 6:
+    """Decide one capacity order from one difference table.
+
+    One outcome at a time, every pair ``(lo, hi)`` of the 2^K table of
+    ``nu`` -- the outcome out, then in -- gains a third entry ``hi - lo``.
+    In the resulting 3^K table ``D``, indexed in base 3, digit 0 marks an
+    outcome outside ``S`` and ``B``, 1 an outcome in ``S`` and 2 one in
+    ``B``, and ``D = sum_{E subset B} (-1)^|B-E| nu(S | E)`` (Chateauneuf &
+    Jaffray 1989).  The k-monotone test is ``D >= 0`` at target
+    ``A = S | B``; the k-alternating test ``(-1)^|B| D <= 0`` at target
+    ``A = S``; both for ``1 <= |B| <= k``, within ``tolerance``.
+    """
+    n = space.size
+    if n > 6:
         raise BudgetExceeded("capacity checks support at most 6 outcomes")
     if not 2 <= k <= 4:
         raise BudgetExceeded("capacity checks support 2 <= k <= 4")
-    table = [nu(Event.from_mask(m, space.size)) for m in range(1 << space.size)]
+    values = [nu(ev) for ev in enumerate_events(space)]
+    diff = _number_table(values, n)[0]
+    for j in range(n):
+        pairs = diff.reshape(-1, 2, 3**j)
+        diff = np.concatenate((pairs, pairs[:, 1:] - pairs[:, :1]), axis=1)
+
+    digits = np.arange(3**n) // 3 ** np.arange(n)[:, None] % 3  # row i: outcome i
+    bits = (1 << np.arange(n))[:, None]
+    in_s = ((digits == 1) * bits).sum(axis=0)
+    in_b = ((digits == 2) * bits).sum(axis=0)
+    size_b = (digits == 2).sum(axis=0)
+    sign = 1 - 2 * (size_b % 2) if alternating else -1  # violations are > 0
+    bad = (size_b >= 1) & (size_b <= k) & (sign * diff.ravel() > tolerance(values))
     kind = "alternating" if alternating else "monotone"
-    found = _scan_capacity(table, k, space.size, alternating)
-    if found is None:
+    if not bad.any():
         return CheckResult(True, k, kind)
-    a_mask, combo_masks, rhs = found
+
+    target = in_s if alternating else in_s | in_b
+    a, b = min(
+        ((int(target[i]), int(in_b[i])) for i in np.flatnonzero(bad)),
+        key=lambda ab: (bin(ab[0]).count("1"), ab[0], bin(ab[1]).count("1"), ab[1]),
+    )
+    # a ^ e is A - E for a monotone check (E inside A), A | E otherwise
+    rhs = sum(
+        (-1) ** (bin(e).count("1") + 1) * values[a ^ e]
+        for e in range(1, b + 1)
+        if e & b == e
+    )
+    collection = sorted(a ^ 1 << i for i in range(n) if b >> i & 1)
     witness = Witness(
-        target=Event.from_mask(a_mask, space.size),
-        collection=tuple(Event.from_mask(m, space.size) for m in combo_masks),
-        lhs=table[a_mask],
-        rhs=rhs,
+        target=Event.from_mask(a, n),
+        collection=tuple(Event.from_mask(m, n) for m in collection),
+        lhs=values[a],
+        rhs=Fraction(rhs) if all_rational(values) else float(rhs),
     )
     return CheckResult(False, k, kind, witness)
 
@@ -417,7 +388,10 @@ def check_k_monotone(nu: Callable[[Event], Scalar], k: int, space) -> CheckResul
     """Test nu(A) >= sum_I (-1)^(|I|+1) nu(intersection of A_i in I).
 
     Collections range over distinct subsets A_i of each target A, sizes 1
-    through k; size 1 is plain monotonicity.  Budget: K <= 6, k <= 4.
+    through k; size 1 is plain monotonicity.  Decided by the local
+    differences ``sum_{E subset B} (-1)^|E| nu(A - E) >= 0`` for every
+    ``B subset A`` with ``1 <= |B| <= k``, which is the bound for the
+    collection ``{A - {b} : b in B}``.  Budget: K <= 6, k <= 4.
     """
     return _run_check(nu, k, space, alternating=False)
 
@@ -426,7 +400,9 @@ def check_k_alternating(nu: Callable[[Event], Scalar], k: int, space) -> CheckRe
     """Test nu(A) <= sum_I (-1)^(|I|+1) nu(union of A_i in I).
 
     Dual of :func:`check_k_monotone`: collections range over distinct
-    supersets A_i of each target A.  Budget: K <= 6, k <= 4.
+    supersets A_i of each target A, decided by the collections
+    ``{A | {b} : b in B}`` for every ``B`` outside ``A`` with
+    ``1 <= |B| <= k``.  Budget: K <= 6, k <= 4.
     """
     return _run_check(nu, k, space, alternating=True)
 

@@ -9,7 +9,7 @@ reference.
 
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import log
 
 import numpy as np
@@ -28,7 +28,7 @@ from consonance import (
 )
 from consonance._num import all_rational, zero_like
 from consonance.errors import SpaceTooLarge
-from consonance.possibility import _combination_index, _max_table
+from consonance.possibility import _max_table
 
 
 def _space(k):
@@ -197,15 +197,3 @@ class TestAllRational:
         assert all_rational(values) == _old_all_rational(values)
         assert all_rational(iter(values)) == _old_all_rational(values)
 
-
-# -- combination index arrays ------------------------------------------------
-
-
-class TestCombinationIndex:
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
-    @pytest.mark.parametrize("j", [1, 2, 3, 4])
-    def test_rows_are_the_combinations_in_order(self, n, j):
-        got = _combination_index(n, j)
-        assert got.tolist() == [list(c) for c in combinations(range(n), j)]
-        assert got.dtype == np.int64 and not got.flags.writeable
-        assert _combination_index(n, j) is got
