@@ -92,11 +92,14 @@ def common_integers(values, cap: int = 1 << 40) -> tuple[list[int], int] | None:
     and their own headroom check passes, and otherwise -- the overflow
     fallback -- on an object array of the values themselves.
     """
-    if not all_rational(values):
+    # a 2^K table repeats a few objects, so each distinct object is read once
+    distinct = dict(zip(map(id, values), values))
+    if not all_rational(distinct.values()):
         return None
     den = 1
-    for d in {v.denominator for v in values}:
+    for d in {v.denominator for v in distinct.values()}:
         den = lcm(den, d)
         if den > cap:
             return None
-    return [v.numerator * (den // v.denominator) for v in values], den
+    nums = {key: v.numerator * (den // v.denominator) for key, v in distinct.items()}
+    return list(map(nums.__getitem__, map(id, values))), den

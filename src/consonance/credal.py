@@ -18,21 +18,19 @@ the tolerance is rational and the contour and the point rescale to
 integers over one denominator, object arrays otherwise -- and gives every
 event the verdict of the Python comparison.
 
-Extreme points come from the classic permutation construction: walk the
-outcomes in some order and assign each the increment of the upper
-probability over the prefix.  The K! walk compares levels (int ranks on
-an exact contour); weights are worked out in values for the distinct
-vertices only.  Consonance puts a point mass at any outcome with contour
-value 1, which is why the minimum Shannon entropy over the credal set is
-always zero here.  Sampling spreads each mass of the focal chain over
-its focal set (Dempster 1967; Chateauneuf & Jaffray 1989), with neither.
+Extreme points are read off the level chain's tie blocks, at most 2^15
+of them (:func:`extreme_points`).  Consonance puts a point mass at any
+outcome with contour value 1, which is why the minimum Shannon entropy
+over the credal set is always zero here.  Sampling spreads each mass of
+the focal chain over its focal set (Dempster 1967; Chateauneuf & Jaffray
+1989), with neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, permutations
-from math import floor, log, sqrt
+from itertools import compress, groupby, product
+from math import floor, log, prod, sqrt
 
 import numpy as np
 
@@ -52,8 +50,8 @@ __all__ = [
     "ternary_coords",
 ]
 
-#: extreme-point enumeration walks K! permutations
-_MAX_PERMUTE = 8
+#: the most vertices :func:`extreme_points` lists (K = 16 with distinct levels)
+_MAX_VERTICES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -113,8 +111,8 @@ def in_credal_set(
             nums, d = np.array(scaled[0], dtype=np.int64), scaled[1]
             up = _max_table(c, nums[: c.size])
             return bool(np.all(_prob_table(nums[c.size :]) - up <= floor(tol * d)))
-    pt = _prob_table(np.array(w, dtype=object), zero_like(w))
-    return bool(np.all(pt <= np.array(upper_table(c), dtype=object) + tol))
+    up = np.array(upper_table(c), dtype=object)  # raises SpaceTooLarge past K = 20
+    return bool(np.all(_prob_table(np.array(w, dtype=object), zero_like(w)) <= up + tol))
 
 
 def _prob_table(weights: np.ndarray, zero=0) -> np.ndarray:
@@ -155,59 +153,47 @@ def prop2_membership(
 
 
 def extreme_points(c: Contour, space=None) -> list[ProbabilityVector]:
-    """Vertices of the credal set via the permutation construction.
+    """Vertices of the credal set, read off the level chain.
 
-    For each outcome order the vector of prefix increments of the upper
-    probability is an extreme point; all K! orders are walked and
-    duplicates dropped.  Outcome i gets weight ``max(pi_i, M) - M``, where M
-    is the largest value before it, so two orders reach the same vertex
-    exactly when every outcome raises the same M or none.  The walk
-    compares the contour's levels (int ranks on an exact contour), with no
-    float tolerance; the weights, as values, are worked out for the first
-    order to reach each vertex only.  K <= 8.
+    In the permutation construction (each outcome gets the increment of the
+    upper probability over the outcomes before it) only an outcome that
+    raises the running maximum gets weight.  So a vertex is one outcome of
+    the top tie block of :attr:`Contour.chain` and none or one of each lower
+    positive block, each chosen outcome weighted by its value less that of
+    the next chosen one below (or 0): ``t_top * prod(1 + t_l)`` vertices for
+    blocks of sizes ``t`` (Miranda, Couso & Gil 2003), listed top choice
+    slowest, "none" first.  Past 2^15 that count, worked out before any
+    vertex is built, raises :class:`SpaceTooLarge`.
 
-    The vertices are worked out once per contour and kept on it; each call
-    returns them in a fresh list, which the caller may change freely.
+    Worked out once per contour and kept on it; each call returns them in a
+    fresh list, which the caller may change freely.
     """
     _check_space(c, space)
-    if c.size > _MAX_PERMUTE:
-        raise SpaceTooLarge(f"{c.size}! permutations exceed the budget")
-    if c._extremes is None:  # the contour's own slot, filled once
-        object.__setattr__(c, "_extremes", _vertices(c))
-    return list(c._extremes)
-
-
-def _vertices(c: Contour) -> tuple[ProbabilityVector, ...]:
-    levels = _max_table(c).tolist()
-    seen = set()
-    firsts = []
-    for order in permutations(range(c.size)):
-        raised = [None] * c.size  # the prefix maximum each outcome raises
-        prefix = 0
-        prev = levels[0]
-        for i in order:
-            prefix |= 1 << i
-            cur = levels[prefix]
-            if cur != prev:
-                raised[i] = prev
-            prev = cur
-        key = tuple(raised)
-        if key not in seen:
-            seen.add(key)
-            firsts.append(order)
-    up = upper_table(c)
-    zero = zero_like(c.values)
+    _require_consonant(c)
+    if c._extremes is not None:  # the contour's own slot, filled once
+        return list(c._extremes)
+    blocks = [  # the positive tie blocks of the chain as indices, highest first
+        [bit.bit_length() - 1 for bit, _, _ in block]
+        for value, block in groupby(c.chain, key=lambda entry: entry[1])
+        if value > 0
+    ]
+    top, *lower = blocks
+    count = len(top) * prod(1 + len(b) for b in lower)
+    if count > _MAX_VERTICES:
+        raise SpaceTooLarge(f"{count} vertices exceed the budget of {_MAX_VERTICES}")
+    values = c.values
+    zero = zero_like(values)
     out = []
-    for order in firsts:
+    for records in product(top, *([None, *b] for b in lower)):
         weights = [zero] * c.size
-        prefix = 0
-        prev = zero
-        for i in order:
-            prefix |= 1 << i
-            weights[i] = up[prefix] - prev
-            prev = up[prefix]
+        below = zero
+        for i in reversed(records):  # from the lowest record up
+            if i is not None:
+                weights[i] = values[i] - below
+                below = values[i]
         out.append(ProbabilityVector(tuple(weights)))
-    return tuple(out)
+    object.__setattr__(c, "_extremes", tuple(out))
+    return out
 
 
 def lower_entropy(c: Contour, space=None) -> float:

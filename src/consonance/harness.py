@@ -19,9 +19,9 @@ point itself; the center candidate sits at the sample mean, so the raw
 contour attains 1 there up to float rounding.  On the rare trial where
 rounding leaves the maximum below 1, the argmax is lifted to 1 (the
 sharper consonance adjustment), which only enlarges the region and keeps
-the bound conservative.  Membership is then evaluated through the real
-region code paths for both the plain cut and the possibilistic cut, and
-the two are asserted identical trial by trial.
+the bound conservative.  Membership is then asked of both ``cpr`` and
+``ihdr_cut``; both read the same strict cut, ``region._cut_event``, so the
+per-trial check that they agree cannot fail.
 
 Contours stay in rank form, ``k/(n+1)``, from the transducer through both
 region cuts, so no trial compares a Fraction with a float.  Per-trial

@@ -11,7 +11,9 @@ Exhaustive event enumeration is capped at K = 20 outcomes.
 from __future__ import annotations
 
 import operator
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from math import isfinite
 from typing import Iterator
 
@@ -209,9 +211,21 @@ def complement(event: Event) -> Event:
 
 
 def enumerate_events(space: OutcomeSpace) -> Iterator[Event]:
-    """All 2^K events in bitmask order (empty set first, full set last)."""
+    """All 2^K events in bitmask order (empty set first, full set last).
+
+    A generator, which raises ``SpaceTooLarge`` past K = 20 on first use.
+    Every mask is in range by construction, so there is no
+    :meth:`Event.from_mask` check: C-level passes fill each slot, through
+    its own descriptor, for a chunk of 4,096 events at a time.
+    """
     k = space.size
     if k > MAX_ENUM:
         raise SpaceTooLarge(f"2^{k} events exceed the enumeration budget")
-    for mask in range(1 << k):
-        yield Event.from_mask(mask, k)
+    chunk = 1 << 12  # bounds the events held at once
+    for start in range(0, 1 << k, chunk):
+        masks = range(start, min(start + chunk, 1 << k))
+        events = list(map(object.__new__, repeat(Event, len(masks))))
+        deque(map(Event.mask.__set__, events, masks), 0)
+        deque(map(Event.space_size.__set__, events, repeat(k)), 0)
+        deque(map(Event._indices.__set__, events, repeat(None)), 0)
+        yield from events

@@ -78,6 +78,7 @@ def _check_space(c: Contour, space):
 
 
 def _check_event(c: Contour, event: Event):
+    _require_consonant(c)
     if event.space_size != c.size:
         raise ValueError("event does not belong to the contour's space")
 
@@ -88,10 +89,10 @@ def upper_prob(c: Contour, event: Event) -> Scalar:
     The value of the first entry of the contour's level chain whose bit is
     in the event's mask; on a random event that takes about two steps.
     """
-    _require_consonant(c)
-    _check_event(c, event)
+    if not c._consonant or event.space_size != c.size:
+        _check_event(c, event)  # raises
     mask = event.mask
-    for bit, value, _ in c.chain:
+    for bit, value, _ in c._chain or c.chain:  # the slot, once the chain is built
         if mask & bit:
             return value
     return zero_like(c.values)
@@ -102,10 +103,10 @@ def lower_prob(c: Contour, event: Event) -> Scalar:
 
     The stored ``1 - value`` of the first chain entry outside the mask.
     """
-    _require_consonant(c)
-    _check_event(c, event)
+    if not c._consonant or event.space_size != c.size:
+        _check_event(c, event)  # raises
     mask = event.mask
-    for bit, _, rest in c.chain:
+    for bit, _, rest in c._chain or c.chain:  # the slot, once the chain is built
         if not mask & bit:
             return rest
     return 1 - zero_like(c.values)
@@ -255,7 +256,7 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
     tolerance).
     """
     k = space.size
-    f = [bel(ev) for ev in enumerate_events(space)]
+    f = list(map(bel, enumerate_events(space)))
     tol = tolerance(f)
     if abs(f[0]) > tol:
         raise ValueError("bel(empty) must be 0")

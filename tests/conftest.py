@@ -9,12 +9,14 @@ rationals.
 """
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from consonance import FiniteOutcomeSpace, NonconformityMeasure, transduce_grid
+from consonance._num import FLOAT_TOL
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -25,6 +27,28 @@ ABC_BAG = ("A",) * 20 + ("B",) * 30 + ("C",) * 50
 #: the trapezoid rule; numpy before 2.0, down to the declared floor of
 #: 1.24, names it ``trapz``
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
+
+
+def same_vertices(new, old, values) -> bool:
+    """Whether two lists of credal vertices hold the same vertices, in any order.
+
+    On a contour whose values are all of one kind the weights must be equal
+    and of the same kinds.  On a mixed contour the old permutation walk's
+    Fraction/float arithmetic rounds according to which tied or zero-level
+    outcome it subtracted, so there weights need only agree within
+    ``FLOAT_TOL``.
+    """
+    if len(set(map(type, values))) == 1:
+        def key(p):
+            return tuple((w, type(w)) for w in p.weights)
+        return Counter(map(key, new)) == Counter(map(key, old))
+    unmatched = [p.weights for p in old]
+    for p in new:
+        near = [q for q in unmatched if all(abs(a - b) <= FLOAT_TOL for a, b in zip(p.weights, q))]
+        if not near:
+            return False
+        unmatched.remove(near[0])
+    return not unmatched
 
 
 @pytest.fixture(scope="session")

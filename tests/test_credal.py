@@ -101,6 +101,12 @@ class TestMembership:
         with pytest.raises(WrongDimension):
             in_credal_set(ProbabilityVector((Fraction(1),)), abc_contour)
 
+    def test_float_weights_past_the_enumeration_budget(self):
+        """Raises like its rational twin, before any 2^41 table is allocated."""
+        c = Contour(_space(41), (1.0,) + (0.5,) * 40)
+        with pytest.raises(SpaceTooLarge):
+            in_credal_set(ProbabilityVector((1 / 41,) * 41), c)
+
     def test_space_mismatch(self, abc_contour):
         with pytest.raises(ValueError):
             in_credal_set(UNIFORM3, abc_contour, space=_space(3))
@@ -148,7 +154,8 @@ class TestExtremePoints:
         assert pts[0].weights == (Fraction(1), Fraction(0), Fraction(0))
 
     def test_size_budget(self):
-        c = Contour(_space(9), (Fraction(1),) * 9)
+        # 17 distinct positive levels: 2^16 vertices, past the 2^15 budget
+        c = Contour(_space(17), tuple(Fraction(i, 17) for i in range(1, 18)))
         with pytest.raises(SpaceTooLarge):
             extreme_points(c)
 
