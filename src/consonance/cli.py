@@ -381,6 +381,7 @@ def _cmd_coverage(ns) -> int:
         "coverage": report.empirical_coverage,
         "se": report.standard_error,
         "pass": report.passed,
+        "path": report.path,
     }
     _emit(
         payload,

@@ -13,38 +13,49 @@ generated through their de Finetti representation (a Dirichlet-distributed
 latent pmf followed by iid draws), which is distributionally exact and
 vectorizes.
 
-Label data transduces over the label space directly.  Numeric data uses
-201 grid candidates spanning sample mean +/- 6 sample sd plus the held-out
-point itself; the center candidate sits at the sample mean, so the raw
-contour attains 1 there up to float rounding.  On the rare trial where
-rounding leaves the maximum below 1, the argmax is lifted to 1 (the
-sharper consonance adjustment), which only enlarges the region and keeps
-the bound conservative.  Membership is then asked of both ``cpr`` and
-``ihdr_cut``; both read the same strict cut, ``region._cut_event``, so the
-per-trial check that they agree cannot fail.
+Every trial's region is built twice, by two constructions in
+:mod:`consonance.region` that share no code: the strict cut
+``levels > threshold(alpha)`` (the CPR) and the necessity-side prefix of
+the descending-level order (the IHDR cut).  Any trial on which they differ
+raises ``AssertionError``, so a run that completes certifies their
+agreement trial by trial.
+
+Label cells under the empirical-pmf measure take the count-table path: the
+trials of a cell run in blocks of ``_BLOCK``, each trial's counts fill one
+row of a ``(T, K)`` count matrix, and one rank matrix
+(:func:`~consonance.transducer._count_ranks`) feeds both constructions for
+the whole block.  Label cells under a user measure, and numeric cells, run
+per trial through ``transduce_grid``, ``cpr`` and ``ihdr_cut``.  Numeric
+data uses 201 grid candidates spanning sample mean +/- 6 sample sd plus
+the held-out point itself; the center candidate sits at the sample mean,
+so the raw contour attains 1 there up to float rounding.  On the rare
+trial where rounding leaves the maximum below 1, the argmax is lifted to 1
+(the sharper consonance adjustment), which only enlarges the region and
+keeps the bound conservative.
 
 Contours stay in rank form, ``k/(n+1)``, from the transducer through both
-region cuts, so no trial compares a Fraction with a float.  Per-trial
-generators are seeded with (master seed, trial index), so trials are
-order-independent.
+region constructions, so no trial compares a Fraction with a float.
+Per-trial generators are seeded with (master seed, trial index), so trials
+are order-independent and both paths see the same draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from math import inf, isfinite, sqrt
 
 import numpy as np
 
 from ._num import json_list, to_float, tolerance
-from .errors import UnknownLabel
 from .outcome import FiniteOutcomeSpace, labels_from_json
-from .region import cpr, ihdr_cut
+from .region import _cut_rows, _prefix_rows, cpr, ihdr_cut
 from .transducer import (
     Contour,
     NonconformityMeasure,
+    _count_ranks,
     _rank,
+    _rank_threshold,
     _sweep_mean_abs_grid,
     adjust_double_prime,
     transduce_grid,
@@ -63,6 +74,15 @@ _LABEL_FAMILIES = ("iid-categorical", "polya-urn")
 _GRID_POINTS = 201
 _GRID_SDS = 6.0
 
+#: trials per block of a count-table cell; bounds its memory for any trial count
+_BLOCK = 1024
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """``Generator.choice``'s own table: the cumulative pmf, ending at exactly 1."""
+    cdf = np.cumsum(p)
+    return cdf / cdf[-1]
+
 
 @dataclass(frozen=True)
 class ProcessSpec:
@@ -75,6 +95,7 @@ class ProcessSpec:
     sigma: float = 1.0
     lam: float = 1.0          # iid-poisson
     counts: tuple = ()        # polya-urn initial composition
+    _weights_cdf: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -90,6 +111,7 @@ class ProcessSpec:
             if not abs(sum(self.weights) - 1) <= tolerance(self.weights):  # NaN fails too
                 raise ValueError("weights must sum to 1")
             self._check_labels(len(self.weights))
+            object.__setattr__(self, "_weights_cdf", _cdf(np.array(self.weights, float)))
         elif self.family == "polya-urn":
             if not self.counts:
                 raise ValueError("urn family needs initial counts")
@@ -118,12 +140,17 @@ class ProcessSpec:
         return FiniteOutcomeSpace(labels)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """One exchangeable sequence: label index array or float array."""
+        """One exchangeable sequence: label index array or float array.
+
+        Labels are drawn as ``Generator.choice(K, size, p=p)`` draws them,
+        inverse-cdf on ``rng.random(size)``, so the indices and the
+        generator's state afterwards are the same as that call's.
+        """
         if self.family == "iid-categorical":
-            return rng.choice(len(self.weights), size=size, p=np.array(self.weights, float))
+            return self._weights_cdf.searchsorted(rng.random(size), side="right")
         if self.family == "polya-urn":
             theta = rng.dirichlet(np.array(self.counts, float))
-            return rng.choice(len(self.counts), size=size, p=theta)
+            return _cdf(theta).searchsorted(rng.random(size), side="right")
         if self.family == "iid-gaussian":
             return rng.normal(self.mu, self.sigma, size=size)
         return rng.poisson(self.lam, size=size).astype(float)
@@ -171,6 +198,7 @@ class CoverageReport:
     empirical_coverage: float
     standard_error: float
     passed: bool
+    path: str  # "count-table" (label cells decided in blocks) or "per-trial"
 
 
 def _default_psi(spec: ProcessSpec) -> NonconformityMeasure:
@@ -186,16 +214,41 @@ def _check_psi(spec: ProcessSpec, psi: NonconformityMeasure):
         raise ValueError(f"{psi.kind} needs a numeric family, got {spec.family}")
 
 
-def _label_trial(spec, space, n, alpha, psi, rng) -> bool:
-    seq = spec.draw(rng, n + 1)
-    data = tuple(space.labels[i] for i in seq[:n])
-    held = int(seq[n])
-    contour = transduce_grid(data, space, psi).contour
-    return _member_both_ways(contour, held, alpha)
+def _trial_rng(seed, t: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence((int(seed), t)))
 
 
-def _numeric_trial(spec, n, alpha, psi, rng) -> bool:
+def _count_table_hits(spec, k: int, n: int, alpha, trials: int, seed) -> int:
+    """Hits of a label cell under the empirical-pmf measure, ``_BLOCK`` trials
+    at a time over one rank matrix, each trial checked both ways.  A label
+    contour always attains 1 (the modal label's rank is n+1), so none needs
+    the consonance adjustment."""
+    thr = _rank_threshold(alpha, n + 1)
+    hits = 0
+    for start in range(0, trials, _BLOCK):
+        block = range(start, min(start + _BLOCK, trials))
+        counts = np.empty((len(block), k), dtype=np.int64)
+        held = np.empty(len(block), dtype=np.intp)
+        for row, t in enumerate(block):
+            seq = spec.draw(_trial_rng(seed, t), n + 1)
+            counts[row] = np.bincount(seq[:n], minlength=k)
+            held[row] = seq[n]
+        ranks = _count_ranks(counts)
+        cut = _cut_rows(ranks, thr)
+        split = (cut != _prefix_rows(ranks, thr)).any(axis=1)
+        if split.any():
+            t = block[int(np.argmax(split))]
+            raise AssertionError(f"strict cut and necessity prefix differ on trial {t}")
+        hits += int(cut[np.arange(len(block)), held].sum())
+    return hits
+
+
+def _trial_hit(spec, space, n, alpha, psi, rng) -> bool:
     seq = spec.draw(rng, n + 1)
+    if spec.is_label:
+        data = tuple(space.labels[i] for i in seq[:n])
+        return _member_both_ways(transduce_grid(data, space, psi).contour, int(seq[n]), alpha)
+
     data, held = seq[:n], float(seq[n])
     if n == 0:
         space = FiniteOutcomeSpace((held,))
@@ -206,9 +259,11 @@ def _numeric_trial(spec, n, alpha, psi, rng) -> bool:
     sd = float(data.std(ddof=1)) if n > 1 else 1.0
     span = _GRID_SDS * sd if sd > 0 else 1.0
     cands = np.linspace(mean - span, mean + span, _GRID_POINTS)
-    if held not in set(cands.tolist()):
-        cands = np.append(cands, held)
-    held_idx = int(np.nonzero(cands == held)[0][0])
+    at_held = np.flatnonzero(cands == held)
+    if at_held.size:
+        held_idx = int(at_held[0])
+    else:
+        cands, held_idx = np.append(cands, held), _GRID_POINTS
 
     if psi.kind == "mean-abs-distance":
         ranks = _sweep_mean_abs_grid(data, cands)
@@ -222,11 +277,10 @@ def _numeric_trial(spec, n, alpha, psi, rng) -> bool:
 def _member_both_ways(contour: Contour, held_idx: int, alpha) -> bool:
     if contour.max_value() != 1:
         contour = adjust_double_prime(contour)
-    in_cpr = held_idx in cpr(contour, alpha).event
-    in_cut = held_idx in ihdr_cut(contour, alpha).event
-    if in_cpr != in_cut:
-        raise AssertionError("strict-cut and possibilistic-cut membership differ")
-    return in_cpr
+    region = cpr(contour, alpha).event
+    if region != ihdr_cut(contour, alpha).event:
+        raise AssertionError("strict cut and necessity prefix differ")
+    return held_idx in region
 
 
 def run_coverage(
@@ -239,10 +293,15 @@ def run_coverage(
 ) -> CoverageReport:
     """Coverage of the level-alpha region over seeded Monte-Carlo trials.
 
-    Each trial checks the held-out point through both region constructions
-    and counts a hit when it is covered.  Pass means empirical coverage at
-    least (1 - alpha) - 3 * standard error; that reading is meaningful for
-    trials >= 1000.  Deterministic for a given (spec, n, alpha, seed).
+    Each trial builds its region twice, as the strict cut and as the
+    necessity-side prefix, raises ``AssertionError`` if the two differ, and
+    counts a hit when the held-out point is covered.  Label cells under the
+    empirical-pmf measure are decided in blocks over one rank matrix
+    (``path="count-table"``); every other cell runs trial by trial
+    (``path="per-trial"``).  Both paths give the same hits.  Pass means
+    empirical coverage at least (1 - alpha) - 3 * standard error; that
+    reading is meaningful for trials >= 1000.  Deterministic for a given
+    (spec, n, alpha, seed).
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -254,13 +313,14 @@ def run_coverage(
     _check_psi(spec, psi)
     space = spec.label_space() if spec.is_label else None
 
-    def one_trial(t: int) -> bool:
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), t)))
-        if spec.is_label:
-            return _label_trial(spec, space, n, alpha, psi, rng)
-        return _numeric_trial(spec, n, alpha, psi, rng)
-
-    hits = sum(one_trial(t) for t in range(trials))
+    if spec.is_label and psi.kind == "one-minus-empirical-pmf":
+        path = "count-table"
+        hits = _count_table_hits(spec, space.size, n, alpha, trials, seed)
+    else:
+        path = "per-trial"
+        hits = sum(
+            _trial_hit(spec, space, n, alpha, psi, _trial_rng(seed, t)) for t in range(trials)
+        )
 
     coverage = hits / trials
     se = sqrt(coverage * (1 - coverage) / trials)
@@ -273,6 +333,7 @@ def run_coverage(
         empirical_coverage=coverage,
         standard_error=se,
         passed=coverage >= (1 - alpha) - 3 * se,
+        path=path,
     )
 
 

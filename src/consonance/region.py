@@ -15,17 +15,29 @@ intersection of all events whose lower probability reaches 1 - alpha:
 to hit every behavior change: the contour's distinct values, midpoints
 between consecutive ones, and the endpoints 0 and 1.
 
-Every contour takes the same path: the cut is ``levels > threshold(alpha)``
-(see :class:`Contour`), and the intersection form reads a table of every
-event's largest level.  An event qualifies when the possibility of its
-complement is at most alpha, the rounding-free form of
-``lower >= 1 - alpha``.  Exact contours are thereby decided in int64
-ranks, all others by Python's exact comparisons of their values.
+Every contour takes the same paths, each comparing levels with
+``threshold(alpha)`` (see :class:`Contour`), never ``1 - level`` with
+``1 - alpha``, which rounds on floats:
+
+- :func:`cpr` is the strict cut ``levels > threshold(alpha)``;
+- :func:`ihdr_cut` comes from the necessity side: the shortest prefix of
+  the descending-level order whose lower probability reaches 1 - alpha,
+  found by ``searchsorted`` on the sorted levels.  It shares no code with
+  the cut, so the coverage harness, which builds both for every trial
+  (a whole ``(T, K)`` rank matrix at a time for label cells), checks one
+  construction against the other;
+- :func:`ihdr_intersection` reads a table of every event's largest level.
+  An event qualifies when the possibility of its complement is at most
+  alpha, the rounding-free form of ``lower >= 1 - alpha``.
+
+Exact contours are thereby decided in int64 ranks, all others by Python's
+exact comparisons of their values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import ceil
 
 import numpy as np
 
@@ -68,9 +80,48 @@ def _check_alpha(alpha: Scalar):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def _event_of(member: np.ndarray) -> Event:
+    bits = np.packbits(member, bitorder="little")
+    return Event.from_mask(int.from_bytes(bits, "little"), member.size)
+
+
+def _cut_rows(levels: np.ndarray, t) -> np.ndarray:
+    """The strict cut ``levels > t``, elementwise over any shape of levels."""
+    return levels > t
+
+
+def _prefix_rows(levels: np.ndarray, t) -> np.ndarray:
+    """The necessity-side region of each row of a ``(T, K)`` level matrix.
+
+    Outcomes are taken in descending level order (a stable sort, so ties
+    keep index order).  The prefix of the first ``j`` of them has lower
+    probability ``1 - l``, where ``l`` is the level of the first outcome
+    left out, so the shortest prefix whose lower probability reaches
+    ``1 - alpha`` ends where ``l <= t`` first holds -- always between tie
+    blocks.  Its length comes from ``searchsorted`` on the sorted levels;
+    no level is compared elementwise with ``t``, so this shares no code
+    with :func:`_cut_rows`.  Returns a boolean membership matrix.
+
+    All rows go through one sort and one search: the negated rows are laid
+    end to end, row ``r`` shifted by ``r * span`` with the integer ``span``
+    above ``max + t``, so the line sorts row by row and row ``r``'s query
+    ``r * span - t`` falls inside row ``r``'s stretch of it.  Exact on
+    integer levels, and on a single row of any levels (its shift is the
+    integer 0).
+    """
+    rows, k = levels.shape
+    span = ceil(levels.max()) + ceil(t) + 1  # Python ints: no int64 wrap
+    shift = np.arange(0, rows * span, span)
+    line = (shift[:, None] - levels).ravel()
+    order = line.argsort(kind="stable")
+    ends = line[order].searchsorted(shift - t)  # where each row's prefix ends
+    member = np.empty(line.size, dtype=bool)
+    member[order] = np.arange(line.size) < ends.repeat(k)
+    return member.reshape(rows, k)
+
+
 def _cut_event(c: Contour, alpha: Scalar) -> Event:
-    cut = np.packbits(c.levels > c.threshold(alpha), bitorder="little")
-    return Event.from_mask(int.from_bytes(cut, "little"), c.size)
+    return _event_of(_cut_rows(c.levels, c.threshold(alpha)))
 
 
 def _intersection_event(c: Contour, table: np.ndarray, alpha: Scalar) -> Event:
@@ -92,10 +143,17 @@ def cpr(c: Contour, alpha: Scalar) -> PredictionRegion:
 
 
 def ihdr_cut(c: Contour, alpha: Scalar) -> PredictionRegion:
-    """Highest-density region of the possibility measure, via the cut."""
+    """Highest-density region of the possibility measure, from the necessity side.
+
+    The shortest prefix of the descending-level order whose lower
+    probability reaches 1 - alpha (see :func:`_prefix_rows`).  It is built
+    independently of :func:`cpr`'s strict cut, and equals it on every
+    consonant contour.
+    """
     _check_alpha(alpha)
     _require_consonant(c)
-    return PredictionRegion(_cut_event(c, alpha), alpha, "IHDR-cut")
+    prefix = _prefix_rows(c.levels[None], c.threshold(alpha))[0]
+    return PredictionRegion(_event_of(prefix), alpha, "IHDR-cut")
 
 
 def ihdr_intersection(c: Contour, alpha: Scalar, space=None) -> PredictionRegion:
@@ -134,8 +192,9 @@ class Prop1Report:
 def prop1_check(c: Contour, alphas=(), space=None) -> Prop1Report:
     """Cut / intersection equality over an alpha sweep.
 
-    The cut is both the CPR and the IHDR cut, so one comparison per alpha
-    covers all three regions.  The sweep contains the caller's alphas,
+    Compares the CPR's strict cut with the intersection form; the
+    necessity-side :func:`ihdr_cut` is checked against the same cut by the
+    coverage harness on every trial.  The sweep contains the caller's alphas,
     every distinct contour value, midpoints of consecutive distinct
     values, and the endpoints 0 and 1; the regions are step functions of
     alpha, so this grid witnesses every possible disagreement.  Every

@@ -174,6 +174,16 @@ def conformal_transducer(data: Sequence, candidate, psi: NonconformityMeasure) -
     return Fraction(_rank(data, candidate, psi), n + 1)
 
 
+def _rank_threshold(alpha: Scalar, den: int) -> int:
+    """``floor(alpha * den)`` from alpha's exact ratio: the rank ``t`` with
+    ``k/den > alpha`` exactly when ``k > t``."""
+    try:  # exact for ints, floats and Fractions
+        num, denom = alpha.as_integer_ratio()
+    except AttributeError:  # numpy integers
+        num, denom = operator.index(alpha), 1
+    return num * den // denom
+
+
 _PROVENANCES = ("raw", "prime-adjusted", "double-prime-adjusted", "analytic")
 
 
@@ -298,11 +308,7 @@ class Contour:
         """
         if self.ranks is None:
             return alpha
-        try:  # exact for ints, floats and Fractions
-            num, denom = alpha.as_integer_ratio()
-        except AttributeError:  # numpy integers
-            num, denom = operator.index(alpha), 1
-        return num * self.den // denom
+        return _rank_threshold(alpha, self.den)
 
     def _key(self) -> tuple:
         return (self.space, self.values, self.provenance)
@@ -357,24 +363,32 @@ class ConformalResult:
         return len(self.data)
 
 
+def _count_ranks(counts: np.ndarray) -> np.ndarray:
+    """Rank counts of every label from a ``(T, K)`` matrix of label counts.
+
+    For candidate label ``l`` the augmented counts are ``c' = c + e_l`` and
+    the rank count is the total mass of labels with ``c'(m) <= c'(l)``:
+    ``R[t, l] = sum_m c'(m) [c'(m) <= c'(l)]``.  Only ``c'(l)`` differs from
+    ``c``, so that is ``1 + sum_m c(m) [c(m) <= c(l) + 1]``, one broadcast
+    over the rows.
+    """
+    c = np.asarray(counts, dtype=np.int64)
+    below = c[:, None, :] <= c[:, :, None] + 1  # [t, l, m]: c(m) <= c(l) + 1
+    return 1 + (below * c[:, None, :]).sum(axis=2)
+
+
 def _sweep_label_counts(data: Sequence, space: FiniteOutcomeSpace) -> np.ndarray:
     """Count-table shortcut for the empirical-pmf measure on label data.
 
-    For candidate label ``l`` the augmented counts are ``c' = c + e_l`` and
-    the rank count is the total mass of labels with ``c'(m) <= c'(l)``.
-    Equivalent to the generic score path, just O(K^2) instead of O(n*K).
-    Returns the rank counts, one per label of ``space``.
+    Equivalent to the generic score path, just O(K^2) instead of O(n*K)
+    (see :func:`_count_ranks`).  Returns the rank counts, one per label of
+    ``space``.
     """
     counts = Counter(data)
     unknown = set(counts) - set(space.labels)
     if unknown:
         raise UnknownLabel(f"data labels {sorted(map(repr, unknown))} not in space")
-    ranks = []
-    for label in space.labels:
-        aug = dict(counts)
-        aug[label] = aug.get(label, 0) + 1
-        ranks.append(sum(v for v in aug.values() if v <= aug[label]))
-    return np.array(ranks, dtype=np.int64)
+    return _count_ranks([[counts[label] for label in space.labels]])[0]
 
 
 def _sweep_mean_abs_grid(data: Sequence[float], candidates: np.ndarray) -> np.ndarray:
