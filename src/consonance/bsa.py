@@ -10,18 +10,21 @@ finitely generated credal set of predictives; its lower envelope is the
 minimum over the extreme components, and the highest-density region at
 level alpha is the smallest support subset whose lower envelope reaches
 1 - alpha.  The search is greedy (add outcomes by decreasing worst-case
-pmf), improved by local swaps, and exhaustively certified on small
-supports; the report says whether certification ran.
+pmf), improved by local swaps, and certified minimal on small supports:
+first by a bound on every set one size down, and only when the bound does
+not decide, by enumerating those sets a chunk at a time.  The report says
+whether certification ran.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from math import exp, inf, lgamma, log
 
 import numpy as np
 
+from ._num import FLOAT_TOL
 from .errors import AlphaOutOfRange, NegativeCount, TruncationInsufficient
 
 __all__ = [
@@ -44,6 +47,9 @@ _TRUNC_CAP = 200_000
 #: exhaustive minimality check runs within this regime
 _EXHAUSTIVE_SUPPORT = 25
 _EXHAUSTIVE_SET = 20
+
+#: candidate sets held at once when the certificate has to enumerate
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,38 @@ def _drop_pass(mask, matrix, order_asc, target) -> bool:
     return removed
 
 
+def _bound_rules_out(matrix: np.ndarray, size: int, target: float) -> bool:
+    """True when no ``size``-element set can reach ``target``.
+
+    Under component j no such set holds more than the ``size`` largest
+    entries of row j, so every set's lower envelope is at most the smallest
+    of those row bounds.  The margin of ``FLOAT_TOL`` covers summing the
+    same entries in another order.
+    """
+    top = -np.sort(-matrix, axis=1)[:, :size]
+    return top.sum(axis=1).min() < target - FLOAT_TOL
+
+
+def _certify_minimal(matrix: np.ndarray, smaller: int, target: float, support):
+    """Raise ``AssertionError`` if some ``smaller``-element set reaches ``target``.
+
+    Feasibility is monotone, so "no feasible set one size down" is
+    minimality over all smaller sizes too.  The bound of
+    :func:`_bound_rules_out` decides first; only when it does not are the
+    sets enumerated, ``_CHUNK`` at a time.
+    """
+    if smaller == 0 or _bound_rules_out(matrix, smaller, target):
+        return
+    combos = combinations(range(matrix.shape[1]), smaller)
+    while chunk := list(islice(combos, _CHUNK)):
+        block = np.array(chunk)
+        hit = np.flatnonzero(matrix[:, block].sum(axis=2).min(axis=0) >= target)
+        if hit.size:
+            raise AssertionError(
+                f"search returned {sorted(support)} but {list(chunk[hit[0]])} suffices"
+            )
+
+
 def bsa_ihdr_report(fgcs: PredictiveFGCS, alpha: float) -> IhdrSearchReport:
     """Smallest-set search for the level-alpha highest-density region.
 
@@ -164,8 +202,12 @@ def bsa_ihdr_report(fgcs: PredictiveFGCS, alpha: float) -> IhdrSearchReport:
     envelope reaches 1 - alpha (for a single component this prefix is
     already optimal).  A local phase then tries removals and
     slack-improving swaps that enable further removals.  When the support
-    and set sizes are small the result is certified minimal by exhaustive
-    enumeration one size down; the report records whether that ran.
+    and set sizes are small (T+1 <= 25, at most 20 outcomes) the result is
+    certified minimal one size down: by the row bound of
+    :func:`_bound_rules_out` when it decides, and otherwise by streaming
+    every smaller set through the envelope in chunks.  The report records
+    whether certification ran (``exhaustive_verified``); a certificate that
+    finds a smaller feasible set raises ``AssertionError``.
     """
     if not 0 < alpha < 1:
         raise AlphaOutOfRange(f"alpha must lie in (0, 1), got {alpha}")
@@ -216,26 +258,9 @@ def bsa_ihdr_report(fgcs: PredictiveFGCS, alpha: float) -> IhdrSearchReport:
 
     support = frozenset(int(y) for y in np.flatnonzero(mask))
     size = len(support)
-    exhaustive = False
-    if t + 1 <= _EXHAUSTIVE_SUPPORT and size <= _EXHAUSTIVE_SET and size >= 1:
-        # feasibility is monotone, so "no feasible set one size down" is
-        # minimality over all smaller sizes too
-        exhaustive = True
-        smaller = size - 1
-        if smaller > 0:
-            combos = np.fromiter(
-                (i for c in combinations(range(t + 1), smaller) for i in c),
-                dtype=np.int64,
-            ).reshape(-1, smaller)
-            for lo in range(0, len(combos), 65536):
-                block = combos[lo : lo + 65536]
-                envel = matrix[:, block].sum(axis=2).min(axis=0)
-                hit = np.flatnonzero(envel >= target)
-                if hit.size:
-                    found = block[hit[0]].tolist()
-                    raise AssertionError(
-                        f"search returned {sorted(support)} but {found} suffices"
-                    )
+    exhaustive = t + 1 <= _EXHAUSTIVE_SUPPORT and 1 <= size <= _EXHAUSTIVE_SET
+    if exhaustive:
+        _certify_minimal(matrix, size - 1, target, support)
 
     per_comp = matrix[:, mask].sum(axis=1)
     return IhdrSearchReport(

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import isfinite
 
-from ._num import fmt_scalar, to_float
+from ._num import fmt_scalar, to_float, tolerance
 from .bsa import GammaParams, PredictiveFGCS, bsa_ihdr_report, posterior_update
 from .credal import (
     ProbabilityVector,
@@ -32,9 +32,11 @@ from .errors import FixtureMismatch, TruncationInsufficient
 from .harness import ProcessSpec, run_coverage
 from .outcome import Event, FiniteOutcomeSpace, GridOutcomeSpace, enumerate_events, space_from_json
 from .possibility import (
+    MassFunction,
     check_k_alternating,
     check_k_monotone,
     cloud_gamma,
+    focal_chain,
     focal_elements,
     lower_prob,
     mass_from_belief,
@@ -188,6 +190,16 @@ def _cmd_transduce(ns) -> int:
     return 0
 
 
+def _chain_mass(c: Contour) -> MassFunction:
+    """The contour's Moebius masses, read off its level chain at any K.
+
+    As in :func:`mass_from_belief`, a float mass within tolerance of 0 is
+    dropped.
+    """
+    tol = tolerance(c.values)
+    return MassFunction(c.size, {ev: m for ev, m in focal_chain(c) if m > tol})
+
+
 def _cmd_possibility(ns) -> int:
     contour = Contour.from_json(_read_json(ns.contour))
     if ns.action in ("upper", "lower"):
@@ -205,7 +217,7 @@ def _cmd_possibility(ns) -> int:
         _emit({ns.action: rows}, ns.json, [f"{r['event']}: {r[ns.action]}" for r in rows])
         return 0
     if ns.action == "mass":
-        mass = mass_from_belief(lambda ev: lower_prob(contour, ev), contour.space)
+        mass = _chain_mass(contour)
         rows = [
             {"event": _event_json(ev, contour), "mass": fmt_scalar(m)}
             for ev, m in sorted(mass.masses.items(), key=lambda kv: (len(kv[0]), kv[0].indices))
@@ -213,8 +225,7 @@ def _cmd_possibility(ns) -> int:
         _emit({"mass": rows}, ns.json, [f"{r['event']}: {r['mass']}" for r in rows])
         return 0
     if ns.action == "focal":
-        mass = mass_from_belief(lambda ev: lower_prob(contour, ev), contour.space)
-        focal = focal_elements(mass)
+        focal = focal_elements(_chain_mass(contour))
         payload = {
             "elements": [_event_json(ev, contour) for ev in focal.elements],
             "nested": focal.nested,

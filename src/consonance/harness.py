@@ -21,8 +21,9 @@ raises ``AssertionError``, so a run that completes certifies their
 agreement trial by trial.
 
 Label cells under the empirical-pmf measure take the count-table path: the
-trials of a cell run in blocks of ``_BLOCK``, each trial's counts fill one
-row of a ``(T, K)`` count matrix, and one rank matrix
+trials of a cell run in blocks of ``_BLOCK``, each trial's draw fills one
+row of a ``(T, n+1)`` index block, one offset ``bincount`` turns the block
+into a ``(T, K)`` count matrix, and one rank matrix
 (:func:`~consonance.transducer._count_ranks`) feeds both constructions for
 the whole block.  Label cells under a user measure, and numeric cells, run
 per trial through ``transduce_grid``, ``cpr`` and ``ihdr_cut``.  Numeric
@@ -35,8 +36,16 @@ keeps the bound conservative.
 
 Contours stay in rank form, ``k/(n+1)``, from the transducer through both
 region constructions, so no trial compares a Fraction with a float.
-Per-trial generators are seeded with (master seed, trial index), so trials
-are order-independent and both paths see the same draws.
+
+Trial t of a cell draws from ``default_rng(SeedSequence((seed, t)))``, so
+trials are order-independent and both paths see the same draws.  The
+per-trial path builds that generator.  The count-table path computes the
+PCG64 ``(state, inc)`` of a whole block at once -- SeedSequence's hash and
+mixing as wrapping uint32 array operations over t, then PCG64's two seeding
+steps (O'Neill 2014) in Python ints -- and re-seeds one generator per
+trial; each block checks its first state against numpy's own
+``PCG64(SeedSequence((seed, start)))`` and raises ``AssertionError`` on a
+mismatch.
 """
 
 from __future__ import annotations
@@ -76,6 +85,15 @@ _GRID_SDS = 6.0
 
 #: trials per block of a count-table cell; bounds its memory for any trial count
 _BLOCK = 1024
+
+#: SeedSequence's hash constants (numpy.random.bit_generator) and PCG64's
+#: 128-bit LCG multiplier (O'Neill 2014)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
 
 def _cdf(p: np.ndarray) -> np.ndarray:
@@ -218,28 +236,111 @@ def _trial_rng(seed, t: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed), t)))
 
 
+def _words(x: int) -> list[int]:
+    """``x`` as little-endian uint32 words, as SeedSequence splits an int."""
+    out = [x & 0xFFFFFFFF]
+    while x := x >> 32:
+        out.append(x & 0xFFFFFFFF)
+    return out
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's running hash constant over ``calls`` hashmix calls:
+    its value before and after each call, as uint32 columns."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    col = np.array(consts, dtype=np.uint32)[:, None]
+    return col[:-1], col[1:]
+
+
+def _hashmix(v: np.ndarray, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+    v = (v ^ pre) * post
+    return v ^ v >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ r >> np.uint32(16)
+
+
+def _pcg64_states(seed, start: int, stop: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` that ``default_rng(SeedSequence((seed, t)))``
+    starts in, for every t in ``range(start, stop)``.
+
+    SeedSequence's entropy pool runs as uint32 array operations with one
+    column per trial, so every wraparound happens in an array operation;
+    ``generate_state(4, uint64)`` then gives each trial its 128-bit seed and
+    stream, and PCG64's two seeding steps run in Python ints.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    width = len(_words(start))
+    if len(_words(stop - 1)) != width:  # t gains a word at each power of 2**32
+        edge = 1 << 32 * width
+        return _pcg64_states(seed, start, edge) + _pcg64_states(seed, edge, stop)
+    t = np.arange(start, stop, dtype=np.uint64)
+    words = _words(seed)
+    entropy = np.zeros((max(len(words) + width, _POOL_SIZE), t.size), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    for i in range(width):
+        entropy[len(words) + i] = t >> np.uint64(32 * i)  # the cast keeps the low word
+
+    pre, post = _hash_consts(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], pre[:_POOL_SIZE], post[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src in range(_POOL_SIZE):  # each word into every other, in order
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], pre[k : k + 3], post[k : k + 3]))
+        k += 3
+    for word in entropy[_POOL_SIZE:]:  # entropy past the pool, into every word
+        pool = _mix(pool, _hashmix(word, pre[k : k + _POOL_SIZE], post[k : k + _POOL_SIZE]))
+        k += _POOL_SIZE
+
+    pre, post = _hash_consts(_INIT_B, _MULT_B, 8)
+    out = _hashmix(np.tile(pool, (2, 1)), pre, post).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = (i_hi << 65 | i_lo << 1 | 1) & _MASK128
+        states.append((((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
 def _count_table_hits(spec, k: int, n: int, alpha, trials: int, seed) -> int:
     """Hits of a label cell under the empirical-pmf measure, ``_BLOCK`` trials
     at a time over one rank matrix, each trial checked both ways.  A label
     contour always attains 1 (the modal label's rank is n+1), so none needs
-    the consonance adjustment."""
+    the consonance adjustment.
+
+    One generator is re-seeded per trial with the state of
+    :func:`_pcg64_states`; each block first checks that state against
+    numpy's own ``PCG64(SeedSequence((seed, start)))``.
+    """
     thr = _rank_threshold(alpha, n + 1)
+    gen = np.random.Generator(np.random.PCG64(0))
+    pcg = {}  # the loop below writes each trial's state and inc here
+    state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     hits = 0
     for start in range(0, trials, _BLOCK):
-        block = range(start, min(start + _BLOCK, trials))
-        counts = np.empty((len(block), k), dtype=np.int64)
-        held = np.empty(len(block), dtype=np.intp)
-        for row, t in enumerate(block):
-            seq = spec.draw(_trial_rng(seed, t), n + 1)
-            counts[row] = np.bincount(seq[:n], minlength=k)
-            held[row] = seq[n]
-        ranks = _count_ranks(counts)
+        states = _pcg64_states(seed, start, min(start + _BLOCK, trials))
+        ref = np.random.PCG64(np.random.SeedSequence((int(seed), start))).state["state"]
+        if states[0] != (ref["state"], ref["inc"]):
+            raise AssertionError(f"block seeding differs from SeedSequence at trial {start}")
+        draws = np.empty((len(states), n + 1), dtype=np.intp)
+        for row, (pcg["state"], pcg["inc"]) in enumerate(states):
+            gen.bit_generator.state = state
+            draws[row] = spec.draw(gen, n + 1)
+        offsets = k * np.arange(len(states))[:, None]
+        counts = np.bincount((draws[:, :n] + offsets).ravel(), minlength=k * len(states))
+        ranks = _count_ranks(counts.reshape(-1, k))
         cut = _cut_rows(ranks, thr)
         split = (cut != _prefix_rows(ranks, thr)).any(axis=1)
         if split.any():
-            t = block[int(np.argmax(split))]
+            t = start + int(np.argmax(split))
             raise AssertionError(f"strict cut and necessity prefix differ on trial {t}")
-        hits += int(cut[np.arange(len(block)), held].sum())
+        hits += int(cut[np.arange(len(states)), draws[:, n]].sum())
     return hits
 
 

@@ -71,6 +71,8 @@ class GridOutcomeSpace:
             raise ValueError("need finite lo < hi")
         if self.num_points < 2:
             raise ValueError("need at least two grid points")
+        if self.num_points > 2**53:  # past 2**53 the indices are no longer exact floats
+            raise ValueError("num_points must be at most 2**53")
 
     @property
     def size(self) -> int:

@@ -9,11 +9,15 @@ Poisson(y|lam) * GammaDensity(lam|a,b), evaluated with the substitution
 lam = u^2 so the integrand stays smooth at the origin for a >= 1/2.
 """
 
+import time
+import tracemalloc
 from itertools import combinations
 from math import exp, lgamma, log, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from consonance import (
     AlphaOutOfRange,
@@ -28,6 +32,7 @@ from consonance import (
     predictive_pmf,
 )
 
+from consonance import bsa
 from conftest import trapezoid
 
 
@@ -249,3 +254,60 @@ class TestSmallestCoveringSet:
         assert bsa_ihdr(fgcs, 0.3) == report.support
         assert len(report.per_component) == 2
         assert min(report.per_component) == pytest.approx(report.lower, abs=1e-15)
+
+
+class TestCertificate:
+    """Minimality one size down: decided by the row bound when it can be,
+    and otherwise by streaming every smaller set through the envelope."""
+
+    def test_single_component_needs_no_enumeration(self):
+        """T = 24 and a set of 13: one size down there are C(25, 12) = 5.2M
+        sets, which the certificate once built all at once in memory."""
+        fgcs = PredictiveFGCS((GammaParams(27.5, 7.5),))
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            report = bsa_ihdr_report(fgcs, 0.001)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.truncation == 24 and len(report.support) == 13
+        assert report.exhaustive_verified
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+        assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda j: st.integers(1, 14).flatmap(
+                lambda t: st.tuples(
+                    st.lists(
+                        st.lists(st.floats(0, 1), min_size=t, max_size=t),
+                        min_size=j,
+                        max_size=j,
+                    ),
+                    st.integers(1, t),
+                    st.floats(0.01, 1),
+                )
+            )
+        )
+    )
+    def test_bound_never_rules_out_a_feasible_set(self, case):
+        rows, size, target = case
+        matrix = np.array(rows)
+        if bsa._bound_rules_out(matrix, size, target):
+            for combo in combinations(range(matrix.shape[1]), size):
+                assert matrix[:, list(combo)].sum(axis=1).min() < target, combo
+
+    #: halves of 16 outcomes, one per component: every 6-set reaches at most
+    #: 0.375 under one of them, while each row's 6 largest entries hold 0.75
+    HALVES = np.array([[0.125] * 8 + [0.0] * 8, [0.0] * 8 + [0.125] * 8])
+
+    @pytest.mark.parametrize("chunk", [7, 4096])
+    def test_undecided_bound_falls_back_to_enumeration(self, monkeypatch, chunk):
+        monkeypatch.setattr(bsa, "_CHUNK", chunk)
+        assert not bsa._bound_rules_out(self.HALVES, 6, 0.7)
+        bsa._certify_minimal(self.HALVES, 6, 0.7, frozenset(range(7)))  # no 6-set reaches 0.7
+        with pytest.raises(AssertionError, match="suffices"):
+            bsa._certify_minimal(self.HALVES, 6, 0.375, frozenset(range(7)))

@@ -388,6 +388,17 @@ class TestBadInputExitsOne:
                 "--psi", "mean-abs", "--out", str(tmp_path / "o.json")]
         assert self._run(argv, capsys) == 1
 
+    def test_grid_past_exact_float_indices(self, tmp_path, capsys):
+        """Falsifying example of the CLI fuzz test: ``GridOutcomeSpace.point``
+        raised ``OverflowError`` on 10**400 points."""
+        space = tmp_path / "grid.json"
+        space.write_text(json.dumps({"lo": 0.0, "hi": 2.0, "num_points": 10**400}))
+        data = tmp_path / "data.csv"
+        data.write_text("y\n1\n")
+        argv = ["transduce", "--data", str(data), "--space", str(space),
+                "--psi", "mean-abs", "--adjust", "none", "--out", str(tmp_path / "o.json")]
+        assert self._run(argv, capsys) == 1
+
     def test_truncation_cap_reached(self, capsys):
         argv = ["bsa", "--priors", '[{"a": 1000000, "b": 1}]', "--alpha", "0.1"]
         assert self._run(argv, capsys) == 1

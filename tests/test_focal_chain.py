@@ -8,7 +8,11 @@ return members at any K, put no weight where the contour is 0, repeat per
 seed, and average to the pignistic transform.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +34,7 @@ from consonance import (
     sample_credal,
     transduce_grid,
 )
-from consonance._num import FLOAT_TOL
+from consonance._num import FLOAT_TOL, fmt_scalar, parse_scalar
 from consonance.cli import main
 from consonance.errors import NonConsonantContour
 
@@ -103,6 +107,58 @@ class TestFocalChain:
     def test_needs_consonance(self):
         with pytest.raises(NonConsonantContour):
             focal_chain(Contour(_space(2), (Fraction(1, 2), Fraction(1, 3))))
+
+
+def _cli_payload(c, action):
+    """``consonance --json possibility <action>`` on the contour: (exit code, payload)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "contour.json")
+        with open(path, "w") as fh:
+            json.dump(c.to_json(), fh)
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            code = main(["--json", "possibility", action, "--contour", path])
+    return code, json.loads(sink.getvalue())
+
+
+class TestCliMassAndFocal:
+    """``possibility mass|focal`` read the chain, and print what the 2^K
+    Moebius inversion printed before: the same text on rank contours,
+    masses within ``FLOAT_TOL`` otherwise."""
+
+    @settings(max_examples=100)
+    @given(contours(max_k=12))
+    def test_mass_rows_match_the_moebius_inversion(self, c):
+        c = Contour.from_json(c.to_json())  # as the CLI reads it back
+        moebius = mass_from_belief(lambda ev: lower_prob(c, ev), c.space).masses
+        rows = [
+            {"event": ev.to_labels(c.space), "mass": fmt_scalar(m)}
+            for ev, m in sorted(moebius.items(), key=lambda kv: (len(kv[0]), kv[0].indices))
+        ]
+        code, payload = _cli_payload(c, "mass")
+        assert code == 0
+        if c.ranks is not None:
+            assert payload["mass"] == rows
+        else:
+            assert [r["event"] for r in payload["mass"]] == [r["event"] for r in rows]
+            for got, want in zip(payload["mass"], rows):
+                assert abs(parse_scalar(got["mass"]) - parse_scalar(want["mass"])) <= FLOAT_TOL
+
+    @pytest.mark.parametrize("k", [21, 41])
+    def test_grid_contours_past_the_subset_table(self, k):
+        c = adjust_double_prime(
+            transduce_grid(
+                tuple(np.random.default_rng(k).normal(size=15).tolist()),
+                GridOutcomeSpace(-3.0, 3.0, k),
+                NonconformityMeasure.mean_abs(),
+            ).contour
+        )
+        code, payload = _cli_payload(c, "mass")
+        assert code == 0
+        assert sum(parse_scalar(r["mass"]) for r in payload["mass"]) == 1
+        code, payload = _cli_payload(c, "focal")
+        assert code == 0 and payload["nested"] is True
+        assert payload["elements"][-1] == [i for i, v in enumerate(c.values) if v > 0]
 
 
 class TestChainSampler:

@@ -71,6 +71,13 @@ class TestGridOutcomeSpace:
         with pytest.raises(ValueError):
             GridOutcomeSpace(2.0, 1.0, 5)
 
+    def test_indices_stay_exact_floats(self):
+        g = GridOutcomeSpace(0.0, 1.0, 2**53)
+        assert g.point(2**53 - 1) == 1.0
+        for n in (2**53 + 1, 10**400):
+            with pytest.raises(ValueError, match="2\\*\\*53"):
+                GridOutcomeSpace(0.0, 1.0, n)
+
     def test_json_round_trip_is_flat(self):
         g = GridOutcomeSpace(0.5, 9.5, 19)
         obj = g.to_json()
