@@ -32,7 +32,6 @@ from .errors import (
     AlphaOutOfRange,
     BudgetExceeded,
     EmptyBag,
-    EmptyList,
     FixtureMismatch,
     NegativeCount,
     NegativeMass,
@@ -61,7 +60,6 @@ from .possibility import (
     Cloud,
     FocalSet,
     MassFunction,
-    UpperLowerPair,
     Witness,
     check_k_alternating,
     check_k_monotone,
@@ -71,16 +69,13 @@ from .possibility import (
     is_consonant,
     lower_prob,
     mass_from_belief,
-    tropical_sum,
     upper_prob,
     upper_table,
 )
 from .region import (
-    MeasureComparison,
     PredictionRegion,
     Prop1Report,
     Prop1Violation,
-    compare_measures,
     cpr,
     ihdr_cut,
     ihdr_intersection,

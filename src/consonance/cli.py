@@ -343,7 +343,7 @@ def _cmd_bsa(ns) -> int:
     priors = _parse_priors(ns.priors)
     data = ()
     if ns.data:
-        data = tuple(int(float(v)) for v in _read_data_csv(ns.data, as_float=True))
+        data = _read_data_csv(ns.data, as_float=True)
     posts = tuple(posterior_update(p, data) for p in priors)
     report = bsa_ihdr_report(PredictiveFGCS(posts), ns.alpha)
     payload = {

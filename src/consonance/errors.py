@@ -2,7 +2,8 @@
 
 
 class SpaceTooLarge(ValueError):
-    """Outcome space exceeds the exhaustive-enumeration budget (K > 20)."""
+    """Outcome space exceeds an enumeration budget: 2^K events past K = 20,
+    or grid points past ``outcome.MAX_GRID_POINTS``."""
 
 
 class BudgetExceeded(ValueError):
@@ -27,10 +28,6 @@ class NonConsonantContour(ValueError):
 
 class NegativeMass(ValueError):
     """Moebius inversion produced a negative mass; input was not a belief function."""
-
-
-class EmptyList(ValueError):
-    """Maximum of an empty collection is undefined."""
 
 
 class WrongDimension(ValueError):

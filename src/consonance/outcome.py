@@ -5,7 +5,7 @@ of reals standing in for a continuous outcome.  Events are subsets of a
 finite space (grid points count as a finite space of size ``num_points`` for
 event purposes), held as bitmasks: union, intersection and complement are
 ``|``, ``&`` and ``^``, and the sorted index tuple is built only when read.
-Exhaustive event enumeration is capped at K = 20 outcomes.
+Exhaustive event enumeration is capped at K = 20 outcomes, a grid at 2**20 points.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from .errors import SpaceTooLarge, UnknownLabel
 
 #: hard cap on exhaustive 2^K enumeration
 MAX_ENUM = 20
+
+#: cap on the points a grid materializes (about 32 MB of floats at the cap);
+#: a larger grid would hang a transduction or exhaust memory, not fail at once
+MAX_GRID_POINTS = 2**20
 
 _set = object.__setattr__  # fills the slots of a frozen Event
 
@@ -84,6 +88,8 @@ class GridOutcomeSpace:
         return self.lo + i * (self.hi - self.lo) / (self.num_points - 1)
 
     def points(self) -> tuple[float, ...]:
+        if (n := self.num_points) > MAX_GRID_POINTS:
+            raise SpaceTooLarge(f"{n} grid points exceed the budget of {MAX_GRID_POINTS}")
         return tuple(self.point(i) for i in range(self.num_points))
 
     @property

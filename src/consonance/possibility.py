@@ -16,35 +16,37 @@ local differences ``sum_{E subset B} (-1)^|E| nu(A - E)`` over
 ``1 <= |B| <= k`` (Chateauneuf & Jaffray 1989), which bound every
 collection of up to k distinct events at once.
 
-Maximization makes the calculus tropical: events under union map to values
-under max (:func:`tropical_sum`), turning finite additivity into the
-max-plus analogue tested in the property suite.
+Maximization makes the plausibility of a consonant contour a monoid
+homomorphism from ``(2^Omega, union, empty)`` to ``([0, 1], max, 0)``:
+
+    upper_prob(A | B) = max(upper_prob(A), upper_prob(B))
+    upper_prob(empty) = 0
+
+Acceptance criterion 5 checks both, with the built-in ``max``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ._num import Scalar, all_rational, common_integers, tolerance, zero_like
 from .errors import (
     BudgetExceeded,
-    EmptyList,
     NegativeMass,
     NonConsonantContour,
     SpaceTooLarge,
 )
-from .outcome import MAX_ENUM, Event, complement, enumerate_events
+from .outcome import MAX_ENUM, Event, enumerate_events
 from .transducer import Contour
 
 __all__ = [
     "is_consonant",
     "upper_prob",
     "lower_prob",
-    "UpperLowerPair",
     "upper_table",
     "MassFunction",
     "mass_from_belief",
@@ -57,7 +59,6 @@ __all__ = [
     "check_k_alternating",
     "Cloud",
     "cloud_gamma",
-    "tropical_sum",
 ]
 
 def is_consonant(c: Contour) -> bool:
@@ -141,34 +142,6 @@ def upper_table(c: Contour) -> list:
         value_of = dict(zip(c.ranks.tolist(), c.values))
         table[1:] = [value_of[k] for k in table[1:]]
     return table
-
-
-@dataclass
-class UpperLowerPair:
-    """A contour's possibility/necessity pair with per-event memoization.
-
-    Repeated queries against the same contour (region sweeps, credal
-    membership over many events) hit the cache; the cache key is the event
-    bitmask, so two ``Event`` objects naming the same subset share an entry.
-    """
-
-    contour: Contour
-    cache: dict = None
-
-    def __post_init__(self):
-        _require_consonant(self.contour)
-        if self.cache is None:
-            self.cache = {}
-
-    def upper(self, event: Event) -> Scalar:
-        _check_event(self.contour, event)
-        key = event.mask
-        if key not in self.cache:
-            self.cache[key] = upper_prob(self.contour, event)
-        return self.cache[key]
-
-    def lower(self, event: Event) -> Scalar:
-        return 1 - self.upper(complement(event))
 
 
 def _max_table(c: Contour, levels: np.ndarray | None = None) -> np.ndarray:
@@ -437,11 +410,3 @@ def cloud_gamma(c: Contour) -> Cloud:
     half = Fraction(1, 2)
     gamma = tuple(v if v <= half else 1 - v for v in c.values)
     return Cloud(Contour(c.space, gamma, provenance="analytic"), c)
-
-
-def tropical_sum(values: Sequence[Scalar]) -> Scalar:
-    """Max of the values; the additive operation of the tropical semiring."""
-    vals = list(values)
-    if not vals:
-        raise EmptyList("tropical sum of an empty collection")
-    return max(vals)

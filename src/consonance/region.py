@@ -44,7 +44,7 @@ import numpy as np
 from ._num import Scalar
 from .outcome import Event, GridOutcomeSpace, OutcomeSpace
 from .possibility import _check_space, _max_table, _require_consonant
-from .transducer import Contour, NonconformityMeasure, transduce_grid
+from .transducer import Contour
 
 __all__ = [
     "PredictionRegion",
@@ -55,8 +55,6 @@ __all__ = [
     "Prop1Violation",
     "Prop1Report",
     "prop1_check",
-    "MeasureComparison",
-    "compare_measures",
 ]
 
 
@@ -217,38 +215,3 @@ def prop1_check(c: Contour, alphas=(), space=None) -> Prop1Report:
         if cut.mask != inter.mask:
             failures.append(Prop1Violation(alpha, cut, inter))
     return Prop1Report(not failures, sweep, tuple(failures))
-
-
-@dataclass(frozen=True)
-class MeasureComparison:
-    """Regions produced by two nonconformity measures on the same data."""
-
-    region1: PredictionRegion
-    region2: PredictionRegion
-    size1: Scalar
-    size2: Scalar
-    relation: str  # how region1 sits relative to region2
-
-
-def compare_measures(
-    data,
-    space: OutcomeSpace,
-    psi1: NonconformityMeasure,
-    psi2: NonconformityMeasure,
-    alpha: Scalar,
-) -> MeasureComparison:
-    """Transduce with both measures and compare the resulting regions."""
-    r1 = cpr(transduce_grid(data, space, psi1).contour, alpha)
-    r2 = cpr(transduce_grid(data, space, psi2).contour, alpha)
-    e1, e2 = r1.event, r2.event
-    if e1 == e2:
-        relation = "equal"
-    elif e1.issubset(e2):
-        relation = "subset"
-    elif e2.issubset(e1):
-        relation = "superset"
-    else:
-        relation = "incomparable"
-    return MeasureComparison(
-        r1, r2, region_size(r1, space), region_size(r2, space), relation
-    )

@@ -414,23 +414,24 @@ def transduce_grid(
     The returned contour matches :func:`conformal_transducer` pointwise and
     holds the ranks over ``n+1``; label data under the empirical-pmf measure
     and numeric data under mean-abs take O(K^2) / vectorized shortcuts
-    through the same formulas.  Data on a grid must be finite reals.
+    through the same formulas.  Data on a grid must be finite reals, and a
+    grid of more than ``MAX_GRID_POINTS`` points raises ``SpaceTooLarge``.
     """
     data = tuple(data)
     n = len(data)
-    if isinstance(space, GridOutcomeSpace) and not np.isfinite(np.asarray(data, float)).all():
-        raise ValueError("numeric data must be finite")
+    if isinstance(space, GridOutcomeSpace):
+        candidates = space.points()  # raises SpaceTooLarge past MAX_GRID_POINTS
+        if not np.isfinite(np.asarray(data, float)).all():
+            raise ValueError("numeric data must be finite")
+    else:
+        candidates = space.labels
     if n == 0:
         ranks = np.ones(space.size, dtype=np.int64)
     elif isinstance(space, FiniteOutcomeSpace) and psi.kind == "one-minus-empirical-pmf":
         ranks = _sweep_label_counts(data, space)
     elif isinstance(space, GridOutcomeSpace) and psi.kind == "mean-abs-distance":
-        ranks = _sweep_mean_abs_grid(data, np.array(space.points()))
+        ranks = _sweep_mean_abs_grid(data, np.array(candidates))
     else:
-        if isinstance(space, FiniteOutcomeSpace):
-            candidates = space.labels
-        else:
-            candidates = space.points()
         ranks = np.array([_rank(data, c, psi) for c in candidates], dtype=np.int64)
 
     contour = Contour.from_ranks(space, ranks, n + 1, provenance="raw")

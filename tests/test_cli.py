@@ -12,6 +12,7 @@ import json
 import pytest
 
 from consonance.cli import main
+from consonance.outcome import MAX_GRID_POINTS
 
 
 def run_cli(argv, capsys):
@@ -397,6 +398,25 @@ class TestBadInputExitsOne:
         data.write_text("y\n1\n")
         argv = ["transduce", "--data", str(data), "--space", str(space),
                 "--psi", "mean-abs", "--adjust", "none", "--out", str(tmp_path / "o.json")]
+        assert self._run(argv, capsys) == 1
+
+    def test_grid_past_the_point_budget(self, tmp_path, capsys):
+        """One point over the budget is refused before any point is built."""
+        space = tmp_path / "grid.json"
+        space.write_text(json.dumps({"lo": 0.0, "hi": 2.0, "num_points": MAX_GRID_POINTS + 1}))
+        data = tmp_path / "data.csv"
+        data.write_text("y\n1\n")
+        out = tmp_path / "o.json"
+        argv = ["transduce", "--data", str(data), "--space", str(space),
+                "--psi", "mean-abs", "--out", str(out)]
+        assert self._run(argv, capsys) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", ["1.5", "-0.5"])
+    def test_fractional_or_negative_count(self, tmp_path, count, capsys):
+        data = tmp_path / "counts.csv"
+        data.write_text(f"y\n3\n{count}\n")
+        argv = ["bsa", "--priors", '[{"a": 2, "b": 1}]', "--data", str(data), "--alpha", "0.1"]
         assert self._run(argv, capsys) == 1
 
     def test_truncation_cap_reached(self, capsys):

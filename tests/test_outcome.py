@@ -16,6 +16,7 @@ from consonance import (
     enumerate_events,
     space_from_json,
 )
+from consonance.outcome import MAX_GRID_POINTS
 
 
 def events(k=6):
@@ -77,6 +78,10 @@ class TestGridOutcomeSpace:
         for n in (2**53 + 1, 10**400):
             with pytest.raises(ValueError, match="2\\*\\*53"):
                 GridOutcomeSpace(0.0, 1.0, n)
+
+    def test_points_past_the_budget_raise(self):
+        with pytest.raises(SpaceTooLarge):
+            GridOutcomeSpace(0.0, 1.0, MAX_GRID_POINTS + 1).points()
 
     def test_json_round_trip_is_flat(self):
         g = GridOutcomeSpace(0.5, 9.5, 19)

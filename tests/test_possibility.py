@@ -29,7 +29,6 @@ from consonance import (
     MassFunction,
     NegativeMass,
     NonConsonantContour,
-    UpperLowerPair,
     check_k_alternating,
     check_k_monotone,
     cloud_gamma,
@@ -39,11 +38,9 @@ from consonance import (
     is_consonant,
     lower_prob,
     mass_from_belief,
-    tropical_sum,
     upper_prob,
     upper_table,
 )
-from consonance.errors import EmptyList
 
 
 def _space(k):
@@ -142,28 +139,6 @@ class TestUpperLower:
         small, big = a.intersection(b), a.union(b)
         assert upper_prob(c, small) <= upper_prob(c, big)
         assert lower_prob(c, small) <= lower_prob(c, big)
-
-
-class TestUpperLowerPair:
-    def test_matches_the_free_functions(self, abc_space, abc_contour):
-        pair = UpperLowerPair(abc_contour)
-        for labels in TestUpperLower.PAIRS:
-            ev = Event.from_labels(abc_space, labels)
-            assert pair.upper(ev) == upper_prob(abc_contour, ev)
-            assert pair.lower(ev) == lower_prob(abc_contour, ev)
-
-    def test_cache_fills_and_hits(self, abc_contour):
-        pair = UpperLowerPair(abc_contour)
-        ev = Event.from_indices((0, 2), 3)
-        first = pair.upper(ev)
-        assert pair.cache[ev.mask] == first
-        pair.cache[ev.mask] = "sentinel"
-        assert pair.upper(ev) == "sentinel"
-
-    def test_rejects_non_consonant_contours(self):
-        c = Contour(_space(2), (Fraction(1, 3), Fraction(1, 2)))
-        with pytest.raises(NonConsonantContour):
-            UpperLowerPair(c)
 
 
 class TestConsonance:
@@ -380,20 +355,3 @@ class TestCloud:
         cloud = cloud_gamma(c)
         assert min(cloud.gamma.values) == 0
         assert all(g <= p for g, p in zip(cloud.gamma.values, cloud.pi.values))
-
-
-class TestTropicalSum:
-    def test_examples(self):
-        assert tropical_sum((0.2, 0.9)) == 0.9
-        assert tropical_sum((0, 0)) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyList):
-            tropical_sum(())
-
-    @given(
-        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=9), min_size=1),
-        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=9), min_size=1),
-    )
-    def test_concatenation_is_max_of_parts(self, xs, ys):
-        assert tropical_sum(xs + ys) == max(tropical_sum(xs), tropical_sum(ys))

@@ -21,9 +21,7 @@ from consonance import (
     FiniteOutcomeSpace,
     GridOutcomeSpace,
     NonConsonantContour,
-    NonconformityMeasure,
     PredictionRegion,
-    compare_measures,
     cpr,
     ihdr_cut,
     ihdr_intersection,
@@ -31,7 +29,6 @@ from consonance import (
     prop1_check,
     region_size,
 )
-from conftest import ABC_BAG
 
 
 def _space(k):
@@ -154,39 +151,6 @@ class TestRegionSize:
         c = Contour(grid, (0.0,) * 4 + (1.0,) * 3 + (0.0,) * 4)
         region = cpr(c, 0.5)
         assert region_size(region, grid) == pytest.approx(0.3)
-
-
-class TestCompareMeasures:
-    def test_constant_score_gives_the_vacuous_region(self, abc_space):
-        """A constant nonconformity score cannot separate candidates."""
-        flat = NonconformityMeasure.from_function(lambda rest, y: 0.0)
-        sharp = NonconformityMeasure.one_minus_emp()
-        cmp = compare_measures(ABC_BAG, abc_space, sharp, flat, Fraction(3, 10))
-        assert _labels(cmp.region1, abc_space) == ["B", "C"]
-        assert cmp.region2.event == Event.full(3)
-        assert cmp.relation == "subset"
-        assert (cmp.size1, cmp.size2) == (2, 3)
-
-    def test_identical_measures_compare_equal(self, abc_space):
-        psi = NonconformityMeasure.one_minus_emp()
-        cmp = compare_measures(ABC_BAG, abc_space, psi, psi, Fraction(3, 10))
-        assert cmp.relation == "equal"
-
-    def test_alpha_one_empties_both(self, abc_space):
-        psi = NonconformityMeasure.one_minus_emp()
-        flat = NonconformityMeasure.from_function(lambda rest, y: 0.0)
-        cmp = compare_measures(ABC_BAG, abc_space, psi, flat, 1)
-        assert cmp.relation == "equal"
-        assert len(cmp.region1.event) == 0 and len(cmp.region2.event) == 0
-
-    def test_disjoint_regions_are_incomparable(self):
-        grid = GridOutcomeSpace(0.0, 1.0, 2)
-        left = NonconformityMeasure.from_function(lambda rest, y: abs(y - 0.0))
-        right = NonconformityMeasure.from_function(lambda rest, y: abs(y - 1.0))
-        cmp = compare_measures((0.0, 1.0), grid, left, right, 0.8)
-        assert cmp.region1.event.indices == (0,)
-        assert cmp.region2.event.indices == (1,)
-        assert cmp.relation == "incomparable"
 
 
 class TestPredictionRegionType:
