@@ -13,24 +13,25 @@ Both tests are exact on rational input; any float input allows the
 package's one float tolerance, ``FLOAT_TOL``, so that boundary members
 survive rounding.
 
-The 2^K dominance check runs on one kind of numpy array -- int64 when
-the tolerance is rational and the contour and the point rescale to
-integers over one denominator, object arrays otherwise -- and gives every
-event the verdict of the Python comparison.
+Both run in int64 when the tolerance is rational and the contour's ranks
+and the point rescale to integers over one denominator, and otherwise
+on the values themselves; either way each check has the verdict of the
+Python comparison.
 
 Extreme points are read off the level chain's tie blocks, at most 2^15
 of them (:func:`extreme_points`).  Consonance puts a point mass at any
 outcome with contour value 1, which is why the minimum Shannon entropy
-over the credal set is always zero here.  Sampling spreads each mass of
-the focal chain over its focal set (Dempster 1967; Chateauneuf & Jaffray
-1989), with neither.
+over the credal set is always zero here, at any K.  Sampling spreads
+each mass of the focal chain over its focal set (Dempster 1967;
+Chateauneuf & Jaffray 1989), with neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress, groupby, product
-from math import floor, log, prod, sqrt
+from math import floor, prod, sqrt
 
 import numpy as np
 
@@ -93,26 +94,48 @@ def in_credal_set(
     of weight sums, in the form that gives each event the verdict of the
     Python comparison ``P(A) <= upper(A) + tol``:
 
-    * int64 when the values, the weights and ``tol`` are rational and the
-      values and weights rescale to integers over one denominator ``d``:
+    * int64 when ``tol`` is rational and :func:`_rescaled` puts the ranks
+      and the weights over one denominator ``d``:
       ``P·d - upper·d <= floor(tol·d)``;
     * otherwise object arrays of the values: the Python loop itself, with
       each sum added in the order of the loop.
     """
+    tol = _checked_tol(p, c, space, tol)
+    w = p.weights
+    if (scaled := _rescaled(c, w, tol)) is not None:
+        levels, nums, d = scaled
+        up = _max_table(c, levels)
+        return bool(np.all(_prob_table(nums) - up <= floor(tol * d)))
+    up = np.array(upper_table(c), dtype=object)  # raises SpaceTooLarge past K = 20
+    return bool(np.all(_prob_table(np.array(w, dtype=object), zero_like(w)) <= up + tol))
+
+
+def _checked_tol(p: ProbabilityVector, c: Contour, space, tol) -> Scalar:
+    """Check the space and the sizes; the given ``tol``, else the default."""
     _check_space(c, space)
     if p.size != c.size:
         raise WrongDimension("vector and contour sizes differ")
-    if tol is None:
-        tol = tolerance(c.values, p.weights)
-    w = p.weights
-    if all_rational([tol]):
-        scaled = common_integers((*c.values, *w))
-        if scaled is not None:  # values and weights lie in [0, 1], so every sum fits
-            nums, d = np.array(scaled[0], dtype=np.int64), scaled[1]
-            up = _max_table(c, nums[: c.size])
-            return bool(np.all(_prob_table(nums[c.size :]) - up <= floor(tol * d)))
-    up = np.array(upper_table(c), dtype=object)  # raises SpaceTooLarge past K = 20
-    return bool(np.all(_prob_table(np.array(w, dtype=object), zero_like(w)) <= up + tol))
+    if tol is not None:
+        return tol
+    return tolerance(p.weights) if c.ranks is not None else tolerance(c.values, p.weights)
+
+
+def _rescaled(c: Contour, weights: tuple, tol):
+    """The contour's levels and the weights as int64 numerators over one
+    denominator ``d = lcm(c.den, weight denominators)``, and ``d``.
+
+    None when ``tol`` or a weight is a float, the contour holds no ranks,
+    or ``d`` exceeds the cap of :func:`common_integers`.  Levels and
+    weights lie in [0, d] and the weights sum to d, so no sum of them
+    overflows.
+    """
+    if c.ranks is None or not all_rational([tol]):
+        return None
+    scaled = common_integers((Fraction(1, c.den), *weights))  # 1/den brings in den itself
+    if scaled is None:
+        return None
+    nums, d = scaled
+    return c.ranks * (d // c.den), np.array(nums[1:], dtype=np.int64), d
 
 
 def _prob_table(weights: np.ndarray, zero=0) -> np.ndarray:
@@ -137,13 +160,21 @@ def prop2_membership(
     The cut is a step function of alpha, so checking the contour's distinct
     values covers every level; agrees with :func:`in_credal_set` on all
     inputs (the two are dual descriptions of the same constraint set).
+
+    In integers over ``d`` (see :func:`_rescaled`) the cut at a level
+    ``r`` is a prefix of the descending-level order, so its mass is a
+    cumulative weight sum found by ``searchsorted``, and the test
+    ``P·d >= d - r - tol·d`` is ``P·d + r >= d - floor(tol·d)``.
     """
-    _check_space(c, space)
-    if p.size != c.size:
-        raise WrongDimension("vector and contour sizes differ")
-    if tol is None:
-        tol = tolerance(c.values, p.weights)
+    tol = _checked_tol(p, c, space, tol)
     _require_consonant(c)
+    if (scaled := _rescaled(c, p.weights, tol)) is not None:
+        levels, nums, d = scaled
+        order = (-levels).argsort(kind="stable")
+        down = -levels[order]  # negated levels, ascending
+        mass = np.concatenate(([0], np.cumsum(nums[order])))
+        above = mass[down.searchsorted(-levels)]  # P·d of the cut at each level
+        return bool(np.all(above + levels >= d - floor(tol * d)))
     levels = c.levels
     for alpha in set(c.values):
         inside = (levels > c.threshold(alpha)).tolist()
@@ -191,25 +222,31 @@ def extreme_points(c: Contour, space=None) -> list[ProbabilityVector]:
             if i is not None:
                 weights[i] = values[i] - below
                 below = values[i]
-        out.append(ProbabilityVector(tuple(weights)))
+        out.append(_vertex(tuple(weights)))
     object.__setattr__(c, "_extremes", tuple(out))
     return out
 
 
-def lower_entropy(c: Contour, space=None) -> float:
-    """Minimum Shannon entropy (nats) over the credal set.
+def _vertex(weights: tuple) -> ProbabilityVector:
+    """A vertex without ``__post_init__``'s checks: its weights are
+    differences of a descending chain of values ending at 1, so they are
+    nonnegative and telescope to 1 by construction."""
+    p = object.__new__(ProbabilityVector)
+    object.__setattr__(p, "weights", weights)
+    return p
 
-    Entropy is concave, so the minimum over a polytope sits at a vertex;
-    consonance guarantees a point-mass vertex and hence a zero minimum,
-    returned exactly as 0.0 on the rational path.
+
+def lower_entropy(c: Contour, space=None) -> float:
+    """Minimum Shannon entropy (nats) over the credal set: 0.0, at any K.
+
+    Entropy is concave, so the minimum over a polytope sits at a vertex.
+    Consonance makes the point mass at an outcome of contour value 1 a
+    vertex, and its entropy, 0, is the least any distribution has; so no
+    vertex needs to be built.
     """
     _check_space(c, space)
-    best = None
-    for p in extreme_points(c):
-        h = -sum(float(w) * log(float(w)) for w in p.weights if w > 0)
-        if best is None or h < best:
-            best = h
-    return best + 0.0  # turn -0.0 into 0.0
+    _require_consonant(c)
+    return 0.0
 
 
 def sample_credal(c: Contour, space=None, count: int = 1, seed: int = 0) -> list[ProbabilityVector]:
@@ -222,20 +259,22 @@ def sample_credal(c: Contour, space=None, count: int = 1, seed: int = 0) -> list
     and no 2^K table or vertex is needed, so any K works.  The samples are
     independent float vectors, drawn one at a time; their mean is the
     pignistic transform ``BetP(y) = sum of m(A_i)/|A_i| over A_i containing y``.
+    A row of one draw holds each sample's exponentials, set after set, in
+    the order of the generator's stream.
     """
     _check_space(c, space)
     if count < 0:
         raise ValueError("count must be nonnegative")
     focal = [(list(ev.indices), float(m)) for ev, m in focal_chain(c)]
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        w = np.zeros(c.size)
-        for members, mass in focal:
-            e = rng.standard_exponential(len(members))
-            w[members] += mass * (e / e.sum())  # exactly mass on a singleton
-        out.append(ProbabilityVector(tuple(w.tolist())))
-    return out
+    e = np.random.default_rng(seed).standard_exponential((count, sum(len(a) for a, _ in focal)))
+    w = np.zeros((count, c.size))
+    start = 0
+    for members, mass in focal:
+        part = e[:, start : start + len(members)]
+        # exactly mass on a singleton
+        w[:, members] += mass * (part / part.sum(axis=1, keepdims=True))
+        start += len(members)
+    return [ProbabilityVector(tuple(row)) for row in w.tolist()]
 
 
 def ternary_coords(p: ProbabilityVector) -> tuple[float, float]:

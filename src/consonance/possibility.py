@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -136,12 +137,15 @@ def focal_chain(c: Contour) -> list[tuple[Event, Scalar]]:
 
 def upper_table(c: Contour) -> list:
     """Possibility of every event, indexed by bitmask.  O(2^K)."""
-    table = _max_table(c).tolist()
-    table[0] = zero_like(c.values)
-    if c.ranks is not None:  # map ranks back to the contour's values
-        value_of = dict(zip(c.ranks.tolist(), c.values))
-        table[1:] = [value_of[k] for k in table[1:]]
-    return table
+    table = _max_table(c)
+    if c.ranks is None:
+        out = table.tolist()
+    else:  # map ranks back to the values: the last outcome of each rank
+        order = c.ranks.argsort(kind="stable")
+        at = order[c.ranks[order].searchsorted(table, side="right") - 1]
+        out = np.array(c.values, dtype=object)[at].tolist()
+    out[0] = zero_like(c.values)
+    return out
 
 
 def _max_table(c: Contour, levels: np.ndarray | None = None) -> np.ndarray:
@@ -197,7 +201,25 @@ class MassFunction:
         return sum(vals) if vals else zero_like(self.masses.values())
 
 
-def _number_table(values: list, k: int) -> tuple[np.ndarray, int | None]:
+def _distinct(values: list) -> tuple[list, np.ndarray]:
+    """The distinct objects of ``values``, by identity, and for each entry
+    the position of its object among them.
+
+    A 2^K table repeats a few objects; a stable argsort of the ``id``s
+    groups them, so each distinct object is read once and no dict of 2^K
+    keys is built.
+    """
+    ids = np.fromiter(map(id, values), dtype=np.uint64, count=len(values))
+    order = ids.argsort(kind="stable")
+    ordered = ids[order]
+    first = np.ones(len(values), dtype=bool)  # where a new object starts
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    where = np.empty(len(values), dtype=np.intp)
+    where[order] = np.cumsum(first) - 1
+    return [values[i] for i in order[first].tolist()], where
+
+
+def _number_table(values: list, k: int) -> tuple[np.ndarray, int | None, Scalar]:
     """The 2^K ``values`` as one numpy array for an alternating-sum kernel.
 
     int64 numerators over a common denominator when the values are all
@@ -206,14 +228,19 @@ def _number_table(values: list, k: int) -> tuple[np.ndarray, int | None]:
     kinds, denominators past the cap of :func:`common_integers`, integers
     that could overflow -- an object array of the values, which repeats the
     Python arithmetic of a loop and so keeps each result's kind.  Returns
-    ``(table, den)``; ``den`` is the denominator of int64 numerators of
-    Fractions, and None when each entry stands for itself.
+    ``(table, den, tol)``; ``den`` is the denominator of int64 numerators
+    of Fractions, and None when each entry stands for itself; ``tol`` is
+    the :func:`tolerance` of the values.  Only the distinct objects
+    (:func:`_distinct`) are inspected and rescaled.
     """
-    kinds = set(map(type, values))
-    scaled = common_integers(values) if len(kinds) == 1 else None
+    objects, where = _distinct(values)
+    tol = tolerance(objects)
+    kinds = set(map(type, objects))
+    scaled = common_integers(objects) if len(kinds) == 1 else None
     if scaled is None or max(map(abs, scaled[0])) << k >= 1 << 63:
-        return np.array(values, dtype=object), None
-    return np.array(scaled[0], dtype=np.int64), scaled[1] if kinds == {Fraction} else None
+        return np.array(values, dtype=object), None, tol
+    den = scaled[1] if kinds == {Fraction} else None
+    return np.array(scaled[0], dtype=np.int64)[where], den, tol
 
 
 def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
@@ -230,13 +257,12 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
     """
     k = space.size
     f = list(map(bel, enumerate_events(space)))
-    tol = tolerance(f)
+    table, den, tol = _number_table(f, k)
     if abs(f[0]) > tol:
         raise ValueError("bel(empty) must be 0")
     if abs(f[-1] - 1) > tol:
         raise ValueError("bel(full space) must be 1")
 
-    table, den = _number_table(f, k)
     for j in range(k):
         pairs = table.reshape(-1, 2, 1 << j)
         pairs[:, 1, :] -= pairs[:, 0, :]
@@ -303,6 +329,20 @@ class CheckResult:
         return self.ok
 
 
+@cache
+def _base3(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per index of a 3^n table: the masks of ``S`` (digit 1) and ``B``
+    (digit 2), and ``|B|``; read-only, built once per n."""
+    digits = np.arange(3**n) // 3 ** np.arange(n)[:, None] % 3  # row i: outcome i
+    bits = (1 << np.arange(n))[:, None]
+    in_s = ((digits == 1) * bits).sum(axis=0)
+    in_b = ((digits == 2) * bits).sum(axis=0)
+    size_b = (digits == 2).sum(axis=0)
+    for a in (in_s, in_b, size_b):
+        a.flags.writeable = False
+    return in_s, in_b, size_b
+
+
 def _run_check(nu, k, space, alternating: bool) -> CheckResult:
     """Decide one capacity order from one difference table.
 
@@ -321,18 +361,14 @@ def _run_check(nu, k, space, alternating: bool) -> CheckResult:
     if not 2 <= k <= 4:
         raise BudgetExceeded("capacity checks support 2 <= k <= 4")
     values = [nu(ev) for ev in enumerate_events(space)]
-    diff = _number_table(values, n)[0]
+    diff, _, tol = _number_table(values, n)
     for j in range(n):
         pairs = diff.reshape(-1, 2, 3**j)
         diff = np.concatenate((pairs, pairs[:, 1:] - pairs[:, :1]), axis=1)
 
-    digits = np.arange(3**n) // 3 ** np.arange(n)[:, None] % 3  # row i: outcome i
-    bits = (1 << np.arange(n))[:, None]
-    in_s = ((digits == 1) * bits).sum(axis=0)
-    in_b = ((digits == 2) * bits).sum(axis=0)
-    size_b = (digits == 2).sum(axis=0)
+    in_s, in_b, size_b = _base3(n)
     sign = 1 - 2 * (size_b % 2) if alternating else -1  # violations are > 0
-    bad = (size_b >= 1) & (size_b <= k) & (sign * diff.ravel() > tolerance(values))
+    bad = (size_b >= 1) & (size_b <= k) & (sign * diff.ravel() > tol)
     kind = "alternating" if alternating else "monotone"
     if not bad.any():
         return CheckResult(True, k, kind)

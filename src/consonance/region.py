@@ -37,6 +37,7 @@ exact comparisons of their values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import ceil
 
 import numpy as np
@@ -197,21 +198,75 @@ def prop1_check(c: Contour, alphas=(), space=None) -> Prop1Report:
     values, and the endpoints 0 and 1; the regions are step functions of
     alpha, so this grid witnesses every possible disagreement.  Every
     comparison is exact, float contours included.
+
+    One sorted pass decides the whole sweep.  The events that qualify at
+    threshold ``t`` are those whose complement's possibility is at most
+    ``t``, a prefix of the events sorted by that possibility; so a running
+    ``&`` over that order, indexed by one ``searchsorted`` of the
+    thresholds, gives every intersection.  The cuts come from one
+    ``(A, K)`` comparison of the levels with the thresholds.
     """
     _check_space(c, space)
     table = _max_table(c)  # also enforces consonance and the size budget
+    alphas = tuple(alphas)
+    if c.ranks is not None and all(0 <= a <= 1 for a in alphas):
+        sweep, thresholds = _rank_sweep(c, alphas)
+        t = np.array(thresholds, dtype=np.int64)
+    else:  # a value contour, whose thresholds are the alphas; or a bad alpha, which raises
+        sweep = _value_sweep(c, alphas)
+        t = np.array(sweep, dtype=object)
 
+    size = c.size
+    cuts = (c.levels > t[:, None]) @ (1 << np.arange(size))
+    comp = table[::-1]  # entry m: the possibility of the complement of event m
+    order = comp.argsort(kind="stable")
+    ands = np.concatenate(([(1 << size) - 1], np.bitwise_and.accumulate(order)))
+    inters = ands[comp[order].searchsorted(t, side="right")]
+
+    failures = tuple(
+        Prop1Violation(
+            sweep[i], Event.from_mask(int(cuts[i]), size), Event.from_mask(int(inters[i]), size)
+        )
+        for i in np.flatnonzero(cuts != inters).tolist()
+    )
+    return Prop1Report(not failures, sweep, failures)
+
+
+def _value_sweep(c: Contour, alphas: tuple) -> tuple:
+    """The sorted sweep of :func:`prop1_check` from the values; raises on
+    the first alpha, in sweep order, outside [0, 1]."""
     distinct = sorted(set(c.values))
     grid = set(alphas) | set(distinct) | {0, 1}
     for a, b in zip(distinct, distinct[1:]):
         grid.add((a + b) / 2)
     sweep = tuple(sorted(grid))
-
-    failures = []
     for alpha in sweep:
         _check_alpha(alpha)
-        cut = _cut_event(c, alpha)
-        inter = _intersection_event(c, table, alpha)
-        if cut.mask != inter.mask:
-            failures.append(Prop1Violation(alpha, cut, inter))
-    return Prop1Report(not failures, sweep, tuple(failures))
+    return sweep
+
+
+def _rank_sweep(c: Contour, alphas: tuple) -> tuple[tuple, list[int]]:
+    """The sweep of :func:`_value_sweep` on a rank contour, built from the
+    ranks, and each alpha's threshold; every alpha must lie in [0, 1].
+
+    Each alpha sits at ``x = alpha * 2 den``: the distinct values at the
+    even integers ``2r``, the midpoints at ``r + r'``, the endpoints at 0
+    and ``2 den``.  Sorting the keys sorts the sweep, and the threshold
+    ``floor(alpha * den)`` is ``x // 2``.  As in :func:`_value_sweep`'s
+    set union, the first of equal alphas is kept, a caller's alpha over a
+    contour value or midpoint, and a value over the endpoint 0.
+    """
+    den = c.den
+    value_of = dict(zip(c.ranks.tolist()[::-1], c.values[::-1]))  # the first of equal values
+    ranks = sorted(value_of)
+    points = {0: 0}
+    points.update((2 * r, value_of[r]) for r in ranks)
+    for r, s in zip(ranks, ranks[1:]):
+        a, b = value_of[r], value_of[s]
+        # a midpoint takes the values' arithmetic: two ints give a float
+        exact = isinstance(a, Fraction) or isinstance(b, Fraction)
+        points[r + s] = Fraction(r + s, 2 * den) if exact else (a + b) / 2
+    for alpha in dict.fromkeys(alphas):  # an integral key lands on its grid point
+        points[Fraction(alpha) * (2 * den)] = alpha
+    keys = sorted(points)
+    return tuple(map(points.__getitem__, keys)), [x // 2 for x in keys]

@@ -406,6 +406,11 @@ def _sweep_mean_abs_grid(data: Sequence[float], candidates: np.ndarray) -> np.nd
     return 1 + (t >= t_cand[:, None]).sum(axis=1)
 
 
+#: (candidate, data point) pairs a grid sweep scores at once: 2^16 floats
+#: are 512 KB per temporary
+_SWEEP_CELLS = 1 << 16
+
+
 def transduce_grid(
     data: Sequence, space: OutcomeSpace, psi: NonconformityMeasure
 ) -> ConformalResult:
@@ -430,7 +435,11 @@ def transduce_grid(
     elif isinstance(space, FiniteOutcomeSpace) and psi.kind == "one-minus-empirical-pmf":
         ranks = _sweep_label_counts(data, space)
     elif isinstance(space, GridOutcomeSpace) and psi.kind == "mean-abs-distance":
-        ranks = _sweep_mean_abs_grid(data, np.array(candidates))
+        # candidates a chunk at a time, so the sweep's (chunk, n) temporaries stay small
+        cands, step = np.array(candidates), max(1, _SWEEP_CELLS // n)
+        ranks = np.concatenate(
+            [_sweep_mean_abs_grid(data, cands[i : i + step]) for i in range(0, cands.size, step)]
+        )
     else:
         ranks = np.array([_rank(data, c, psi) for c in candidates], dtype=np.int64)
 

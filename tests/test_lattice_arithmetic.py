@@ -36,7 +36,7 @@ from consonance import (
 )
 from consonance._num import all_rational, common_integers, tolerance, zero_like
 from consonance.outcome import MAX_ENUM
-from consonance.possibility import MassFunction, _max_table
+from consonance.possibility import MassFunction, _max_table, _number_table
 
 from conftest import same_vertices
 
@@ -278,6 +278,67 @@ class TestCommonIntegers:
     def test_equal_values_that_are_distinct_objects(self):
         values = [Fraction(1, 3), Fraction(2, 6), Half(1, 3), 1, Fraction(5, 4)]
         assert common_integers(values) == _old_common_integers(values) == ([4, 4, 4, 12, 15], 12)
+
+
+# -- _number_table ------------------------------------------------------------
+
+
+#: ints whose magnitude leaves no headroom for a 2^k sum in int64
+_WIDE = (1 << 62, -(1 << 61) - 3, 1 << 70)
+
+
+@st.composite
+def lattice_tables(draw):
+    """2^k-entry lists drawn from a few objects -- each repeated, as a 2^K
+    table of a belief repeats its values -- with equal-but-distinct twins,
+    a Fraction subclass, ints and Fractions mixed, floats, and ints or
+    numerators past the int64 headroom."""
+    k = draw(st.integers(0, 12))
+    wide = st.sampled_from(_WIDE)
+    pool = draw(st.lists(st.one_of(scalars, wide, wide.map(lambda n: Fraction(n, 3))), min_size=1, max_size=5))
+    if draw(st.booleans()):  # an equal value as a distinct object
+        first = pool[0]
+        twin = Fraction(first.numerator, first.denominator) if isinstance(first, Fraction) else first + 0
+        pool.append(twin)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1 << k, max_size=1 << k))
+    return k, [pool[i] for i in picks]
+
+
+def _same_table(new, old):
+    (nt, nd), (ot, od) = new, old
+    return (
+        nt.dtype == ot.dtype
+        and nt.tolist() == ot.tolist()
+        and [type(v) for v in nt.tolist()] == [type(v) for v in ot.tolist()]
+        and nd == od
+        and type(nd) is type(od)
+    )
+
+
+class TestNumberTable:
+    @settings(max_examples=300)
+    @given(lattice_tables())
+    def test_matches_the_old_per_element_rescale(self, kt):
+        k, values = kt
+        table, den, tol = _number_table(values, k)
+        assert _same_table((table, den), _old_number_table(values, k))
+        assert tol == tolerance(values) and type(tol) is type(tolerance(values))
+
+    @given(scalar_lists(), st.integers(0, 20))
+    def test_any_list_and_headroom(self, values, k):
+        assert _same_table(_number_table(values, k)[:2], _old_number_table(values, k))
+
+    def test_cases(self):
+        third, twin = Fraction(1, 3), Fraction(2, 6)
+        for values, k in (
+            ([third, twin, third, Fraction(1)] * 4, 4),  # equal objects, one denominator
+            ([Half(1, 2), Half(1, 4)] * 2, 2),  # a subclass: numerators, no denominator
+            ([0, Fraction(1, 2), 1, Fraction(1, 2)], 2),  # mixed kinds: objects
+            ([0.25, 0.5, 0.25, 1.0], 2),  # floats: objects
+            ([0, 1 << 60, 1, 1 << 60], 2),  # 2^60 << 2 overflows int64: objects
+            ([0, 1 << 59, 1, 1 << 59], 2),  # 2^59 << 2 is 2^61: int64
+        ):
+            assert _same_table(_number_table(values, k)[:2], _old_number_table(values, k))
 
 
 # -- mass_from_belief --------------------------------------------------------
