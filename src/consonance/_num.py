@@ -69,12 +69,15 @@ def json_list(value, what: str, kinds=(int, float)) -> tuple:
 def parse_scalar(text) -> Scalar:
     """Inverse of :func:`fmt_scalar`; accepts "num/den" strings and numbers.
 
-    Anything else -- null, a list, a bool, a zero denominator -- raises
-    ``ValueError``.
+    Anything else -- null, a list, a bool, a string such as "1.0", a zero
+    denominator -- raises ``ValueError``.
     """
     if isinstance(text, str):
         num, _, den = text.partition("/")
-        num, den = int(num), int(den) if den else 1
+        try:
+            num, den = int(num), int(den) if den else 1
+        except ValueError:
+            raise ValueError(f"a string must be an integer or \"num/den\", got {text!r}") from None
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)

@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 from math import isfinite
 
-from ._num import fmt_scalar, to_float, tolerance
+from ._num import fmt_scalar, to_float
 from .bsa import GammaParams, PredictiveFGCS, bsa_ihdr_report, posterior_update
 from .credal import (
     ProbabilityVector,
@@ -193,11 +193,10 @@ def _cmd_transduce(ns) -> int:
 def _chain_mass(c: Contour) -> MassFunction:
     """The contour's Moebius masses, read off its level chain at any K.
 
-    As in :func:`mass_from_belief`, a float mass within tolerance of 0 is
-    dropped.
+    Nothing is dropped: each mass is a difference of two distinct levels,
+    and for floats ``a > b`` implies ``a - b > 0``.
     """
-    tol = tolerance(c.values)
-    return MassFunction(c.size, {ev: m for ev, m in focal_chain(c) if m > tol})
+    return MassFunction(c.size, dict(focal_chain(c)))
 
 
 def _cmd_possibility(ns) -> int:

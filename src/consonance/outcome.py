@@ -5,7 +5,8 @@ of reals standing in for a continuous outcome.  Events are subsets of a
 finite space (grid points count as a finite space of size ``num_points`` for
 event purposes), held as bitmasks: union, intersection and complement are
 ``|``, ``&`` and ``^``, and the sorted index tuple is built only when read.
-Exhaustive event enumeration is capped at K = 20 outcomes, a grid at 2**20 points.
+Exhaustive event enumeration is capped at K = 20 outcomes, a grid at 2**20 points;
+up to K = 12 it yields one shared tuple of events per K.
 """
 
 from __future__ import annotations
@@ -185,7 +186,10 @@ class Event:
     def indices(self) -> tuple[int, ...]:
         if self._indices is None:
             bits = bin(self.mask)[:1:-1]  # bit i at position i
-            _set(self, "_indices", tuple(i for i, b in enumerate(bits) if b == "1"))
+            # from a list, at its final size: CPython resizes a tuple grown
+            # from a generator, and each resize leaves one more block on its
+            # tuple freelists, which only a full collection empties
+            _set(self, "_indices", tuple([i for i, b in enumerate(bits) if b == "1"]))
         return self._indices
 
     def __repr__(self):
@@ -218,22 +222,41 @@ def complement(event: Event) -> Event:
     return Event.from_mask(event.mask ^ ((1 << n) - 1), n)
 
 
+def _build_events(masks: range, k: int) -> list[Event]:
+    """The events of ``masks`` in a size-``k`` space, without
+    :meth:`Event.from_mask`'s range check: C-level passes fill each slot
+    through its own descriptor."""
+    events = list(map(object.__new__, repeat(Event, len(masks))))
+    deque(map(Event.mask.__set__, events, masks), 0)
+    deque(map(Event.space_size.__set__, events, repeat(k)), 0)
+    deque(map(Event._indices.__set__, events, repeat(None)), 0)
+    return events
+
+
+#: largest K whose 2^K events are built once and shared (8,191 events in all)
+SHARED_MAX_K = 12
+
+_shared: dict[int, tuple[Event, ...]] = {}
+
+
 def enumerate_events(space: OutcomeSpace) -> Iterator[Event]:
     """All 2^K events in bitmask order (empty set first, full set last).
 
     A generator, which raises ``SpaceTooLarge`` past K = 20 on first use.
-    Every mask is in range by construction, so there is no
-    :meth:`Event.from_mask` check: C-level passes fill each slot, through
-    its own descriptor, for a chunk of 4,096 events at a time.
+    For K <= ``SHARED_MAX_K`` it yields one tuple of events per K, built on
+    first use and shared by every later call: an ``Event`` is frozen, and
+    its one lazily written slot depends only on the mask.  A larger K
+    builds fresh events, 4,096 at a time, so the whole lattice is never
+    held at once.
     """
     k = space.size
     if k > MAX_ENUM:
         raise SpaceTooLarge(f"2^{k} events exceed the enumeration budget")
+    if k <= SHARED_MAX_K:
+        if (events := _shared.get(k)) is None:
+            events = _shared[k] = tuple(_build_events(range(1 << k), k))
+        yield from events
+        return
     chunk = 1 << 12  # bounds the events held at once
     for start in range(0, 1 << k, chunk):
-        masks = range(start, min(start + chunk, 1 << k))
-        events = list(map(object.__new__, repeat(Event, len(masks))))
-        deque(map(Event.mask.__set__, events, masks), 0)
-        deque(map(Event.space_size.__set__, events, repeat(k)), 0)
-        deque(map(Event._indices.__set__, events, repeat(None)), 0)
-        yield from events
+        yield from _build_events(range(start, min(start + chunk, 1 << k)), k)

@@ -188,6 +188,15 @@ class MassFunction:
         if abs(total - 1) > tolerance(self.masses.values()):
             raise ValueError(f"masses sum to {total}, expected 1")
 
+    @classmethod
+    def _checked(cls, space_size: int, masses: dict) -> "MassFunction":
+        """A mass function whose caller has checked the masses: all focal,
+        positive and summing to 1 before any float mass was dropped."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "space_size", space_size)
+        object.__setattr__(out, "masses", masses)
+        return out
+
     def belief(self, event: Event) -> Scalar:
         """Total mass of focal events inside ``event``."""
         outside = ~event.mask
@@ -239,7 +248,7 @@ def _number_table(values: list, k: int) -> tuple[np.ndarray, int | None, Scalar]
     scaled = common_integers(objects) if len(kinds) == 1 else None
     if scaled is None or max(map(abs, scaled[0])) << k >= 1 << 63:
         return np.array(values, dtype=object), None, tol
-    den = scaled[1] if kinds == {Fraction} else None
+    den = scaled[1] if issubclass(kinds.pop(), Fraction) else None
     return np.array(scaled[0], dtype=np.int64)[where], den, tol
 
 
@@ -250,7 +259,8 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
     in-place fast subset transform (Kennes & Smets), O(K * 2^K), run over
     the array of :func:`_number_table`.  Exact when ``bel`` returns
     rationals, and each mass keeps the values' kind; with floats, masses
-    within ``FLOAT_TOL`` of 0 are dropped.
+    within ``FLOAT_TOL`` of 0 are dropped after the sum of all masses is
+    checked, so a dropped mass never fails that check.
     Raises :class:`NegativeMass`, naming the smallest mask, when the input
     is not a belief function (some mass comes out negative beyond that
     tolerance).
@@ -276,8 +286,13 @@ def mass_from_belief(bel: Callable[[Event], Scalar], space) -> MassFunction:
         raise NegativeMass(
             f"mass {mass(m)} at mask {m:b}; input is not a belief function"
         )
+    total = table[1:].sum()  # int64 wraps cancel: the exact sum, bel(full) - bel(empty), fits
+    if table.dtype != object:
+        total = Fraction(int(total), den or 1)
+    if abs(total - 1) > tol:
+        raise ValueError(f"masses sum to {total}, expected 1")
     focal = (np.flatnonzero(table[1:] > tol) + 1).tolist()
-    return MassFunction(k, {Event.from_mask(m, k): mass(m) for m in focal})
+    return MassFunction._checked(k, {Event.from_mask(m, k): mass(m) for m in focal})
 
 
 @dataclass(frozen=True)

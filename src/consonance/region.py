@@ -269,4 +269,4 @@ def _rank_sweep(c: Contour, alphas: tuple) -> tuple[tuple, list[int]]:
     for alpha in dict.fromkeys(alphas):  # an integral key lands on its grid point
         points[Fraction(alpha) * (2 * den)] = alpha
     keys = sorted(points)
-    return tuple(map(points.__getitem__, keys)), [x // 2 for x in keys]
+    return tuple([points[x] for x in keys]), [x // 2 for x in keys]  # sized, as Event.indices

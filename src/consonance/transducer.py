@@ -273,8 +273,8 @@ class Contour:
     def values(self) -> tuple:
         if self._values is None:
             den = self.den
-            object.__setattr__(
-                self, "_values", tuple(Fraction(k, den) for k in self.ranks.tolist())
+            object.__setattr__(  # from a list, at its final size (see ``Event.indices``)
+                self, "_values", tuple([Fraction(k, den) for k in self.ranks.tolist()])
             )
         return self._values
 
@@ -285,7 +285,8 @@ class Contour:
         if self._chain is None:
             levels, values = self.levels.tolist(), self.values
             order = sorted(range(self.size), key=levels.__getitem__, reverse=True)
-            chain = tuple((1 << i, values[i], 1 - values[i]) for i in order)
+            # from a list, at its final size (see ``Event.indices``)
+            chain = tuple([(1 << i, values[i], 1 - values[i]) for i in order])
             object.__setattr__(self, "_chain", chain)
         return self._chain
 

@@ -115,6 +115,15 @@ class TestPossibility:
             {"event": ["A", "B", "C"], "mass": "21/101"},
         ]
 
+    def test_mass_at_the_float_tolerance(self, tmp_path, capsys):
+        """The 1e-12 mass was dropped and the rest then failed the sum
+        check: ``masses sum to 0.9999999999989999, expected 1``."""
+        path = tmp_path / "contour.json"
+        path.write_text(json.dumps({"labels": ["a", "b", "c", "d"], "pi": [1.0, "1/2", "1/3", 1e-12]}))
+        code, out = run_cli(["--json", "possibility", "mass", "--contour", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["mass"][-1] == {"event": ["a", "b", "c", "d"], "mass": 1e-12}
+
     def test_focal_chain_is_nested(self, label_contour, capsys):
         code, out = run_cli(
             ["--json", "possibility", "focal", "--contour", str(label_contour)], capsys
@@ -444,6 +453,15 @@ class TestBadInputExitsOne:
         path = tmp_path / "contour.json"
         path.write_text(json.dumps(obj))
         assert self._run(["possibility", "mass", "--contour", str(path)], capsys) == 1
+
+    def test_a_decimal_string_names_the_string_forms(self, tmp_path, capsys):
+        """``"1.0"`` failed with ``invalid literal for int() with base 10``."""
+        path = tmp_path / "contour.json"
+        path.write_text(json.dumps({"labels": ["a", "b"], "pi": ["1.0", "1/2"]}))
+        code = main(["possibility", "mass", "--contour", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: a string must be an integer or \"num/den\", got '1.0'\n"
 
     @pytest.mark.parametrize(
         "spec",

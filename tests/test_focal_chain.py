@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from consonance import (
@@ -109,6 +109,22 @@ class TestFocalChain:
             focal_chain(Contour(_space(2), (Fraction(1, 2), Fraction(1, 3))))
 
 
+@st.composite
+def near_tolerance_contours(draw):
+    """Float and mixed contours whose levels, or gaps between levels, sit
+    near ``FLOAT_TOL``."""
+    near = st.one_of(
+        st.floats(0, 4 * FLOAT_TOL),
+        st.sampled_from([FLOAT_TOL / 2, FLOAT_TOL, 2 * FLOAT_TOL]),
+        st.tuples(st.sampled_from([0.5, 1 / 3, Fraction(1, 3)]), st.floats(-4 * FLOAT_TOL, 4 * FLOAT_TOL))
+        .map(sum),
+        st.sampled_from([Fraction(1, 2), Fraction(1, 3)]),
+    )
+    vals = draw(st.lists(near, min_size=2, max_size=8))
+    vals[draw(st.integers(0, len(vals) - 1))] = 1.0
+    return Contour.from_json(Contour(_space(len(vals)), vals).to_json())
+
+
 def _cli_payload(c, action):
     """``consonance --json possibility <action>`` on the contour: (exit code, payload)."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -124,7 +140,8 @@ def _cli_payload(c, action):
 class TestCliMassAndFocal:
     """``possibility mass|focal`` read the chain, and print what the 2^K
     Moebius inversion printed before: the same text on rank contours,
-    masses within ``FLOAT_TOL`` otherwise."""
+    masses within ``FLOAT_TOL`` otherwise (a mass the inversion rounds
+    into ``FLOAT_TOL`` of 0 and drops is still printed)."""
 
     @settings(max_examples=100)
     @given(contours(max_k=12))
@@ -140,9 +157,27 @@ class TestCliMassAndFocal:
         if c.ranks is not None:
             assert payload["mass"] == rows
         else:
-            assert [r["event"] for r in payload["mass"]] == [r["event"] for r in rows]
-            for got, want in zip(payload["mass"], rows):
-                assert abs(parse_scalar(got["mass"]) - parse_scalar(want["mass"])) <= FLOAT_TOL
+            got = {tuple(r["event"]): parse_scalar(r["mass"]) for r in payload["mass"]}
+            want = {tuple(r["event"]): parse_scalar(r["mass"]) for r in rows}
+            assert want.keys() <= got.keys()
+            for ev in got:
+                assert abs(got[ev] - want.get(ev, 0)) <= FLOAT_TOL
+
+    @settings(max_examples=100)
+    @given(near_tolerance_contours())
+    @example(Contour(_space(3), (1.0, 2e-12, 1e-12)))  # inversion dropped 2e-12 in all
+    def test_levels_near_the_float_tolerance(self, c):
+        """Masses at or under ``FLOAT_TOL`` are real masses: the CLI prints
+        all of them, and ``mass_from_belief`` drops only after its sum check."""
+        code, payload = _cli_payload(c, "mass")
+        assert code == 0
+        masses = [parse_scalar(r["mass"]) for r in payload["mass"]]
+        assert all(m > 0 for m in masses) and abs(sum(masses) - 1) <= FLOAT_TOL
+        chain = dict(focal_chain(c))
+        moebius = mass_from_belief(lambda ev: lower_prob(c, ev), c.space).masses
+        assert moebius.keys() <= chain.keys()
+        for ev, m in chain.items():
+            assert abs(moebius.get(ev, 0) - m) <= FLOAT_TOL
 
     @pytest.mark.parametrize("k", [21, 41])
     def test_grid_contours_past_the_subset_table(self, k):

@@ -1,7 +1,8 @@
 """The 2^K event paths and the credal vertices against the code they replaced.
 
 ``enumerate_events`` fills the slots of each event without ``from_mask``'s
-range check, a chunk at a time; ``common_integers`` reads each distinct
+range check, once per K up to 12 and a chunk at a time past it;
+``common_integers`` reads each distinct
 object once; ``mass_from_belief`` runs on both; and ``extreme_points``
 reads the vertices off the level chain instead of walking K! orders.
 Each must give what the old code gave -- the vertices as a multiset, in
@@ -32,6 +33,7 @@ from consonance import (
     in_credal_set,
     lower_prob,
     mass_from_belief,
+    prop1_check,
     upper_table,
 )
 from consonance._num import all_rational, common_integers, tolerance, zero_like
@@ -260,6 +262,32 @@ class TestEnumerateEvents:
         assert peak < 1 << 21
 
 
+def test_repeated_queries_leave_no_tuples_behind():
+    """A tuple grown from a generator is resized, and CPython keeps one more
+    block per call on its tuple freelists until a full collection, which a
+    long run of lattice queries may never reach: the index tuples, a rank
+    contour's values and chain, and the prop1 sweep are built at their
+    final size instead."""
+    space = _space(8)
+
+    def queries():
+        for _ in range(20):
+            prop1_check(Contour.from_ranks(space, [8, 7, 5, 5, 3, 2, 1, 0], 8), (0.1, 0.5))
+        for m in range(1 << 8):
+            Event.from_mask(m, 8).indices
+
+    queries()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            queries()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert grown < 1 << 16
+
+
 # -- common_integers ---------------------------------------------------------
 
 
@@ -315,30 +343,39 @@ def _same_table(new, old):
     )
 
 
+def _plain(values):
+    """A list of one strict Fraction subclass as plain Fractions, for the old
+    table: it gave such a list numerators with no denominator, a defect."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1 and (kind := kinds.pop()) is not Fraction and issubclass(kind, Fraction):
+        return [Fraction(v) for v in values]
+    return values
+
+
 class TestNumberTable:
     @settings(max_examples=300)
     @given(lattice_tables())
     def test_matches_the_old_per_element_rescale(self, kt):
         k, values = kt
         table, den, tol = _number_table(values, k)
-        assert _same_table((table, den), _old_number_table(values, k))
+        assert _same_table((table, den), _old_number_table(_plain(values), k))
         assert tol == tolerance(values) and type(tol) is type(tolerance(values))
 
     @given(scalar_lists(), st.integers(0, 20))
     def test_any_list_and_headroom(self, values, k):
-        assert _same_table(_number_table(values, k)[:2], _old_number_table(values, k))
+        assert _same_table(_number_table(values, k)[:2], _old_number_table(_plain(values), k))
 
     def test_cases(self):
         third, twin = Fraction(1, 3), Fraction(2, 6)
         for values, k in (
             ([third, twin, third, Fraction(1)] * 4, 4),  # equal objects, one denominator
-            ([Half(1, 2), Half(1, 4)] * 2, 2),  # a subclass: numerators, no denominator
+            ([Half(1, 2), Half(1, 4)] * 2, 2),  # a subclass: as plain Fractions
             ([0, Fraction(1, 2), 1, Fraction(1, 2)], 2),  # mixed kinds: objects
             ([0.25, 0.5, 0.25, 1.0], 2),  # floats: objects
             ([0, 1 << 60, 1, 1 << 60], 2),  # 2^60 << 2 overflows int64: objects
             ([0, 1 << 59, 1, 1 << 59], 2),  # 2^59 << 2 is 2^61: int64
         ):
-            assert _same_table(_number_table(values, k)[:2], _old_number_table(values, k))
+            assert _same_table(_number_table(values, k)[:2], _old_number_table(_plain(values), k))
 
 
 # -- mass_from_belief --------------------------------------------------------
@@ -358,6 +395,13 @@ class TestMassFromBelief:
     def test_necessity_matches_the_old_inversion(self, c):
         bel = lambda ev: lower_prob(c, ev)  # noqa: E731
         assert _same_mass(mass_from_belief(bel, c.space), _old_mass_from_belief(bel, c.space))
+
+    def test_a_fraction_subclass_keeps_its_denominator(self):
+        """The old table read values of one Fraction subclass as bare
+        numerators and raised ``masses sum to 2`` here."""
+        c = Contour(_space(2), (Fraction(1), Fraction(1, 2)))
+        m = mass_from_belief(lambda ev: Half(lower_prob(c, ev)), c.space)
+        assert m.masses == {Event.from_mask(0b01, 2): Fraction(1, 2), Event.from_mask(0b11, 2): Fraction(1, 2)}
 
 
 # -- vertices from the chain -------------------------------------------------

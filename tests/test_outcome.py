@@ -1,6 +1,9 @@
 """Outcome spaces, events and their canonical encodings."""
 
 import json
+import tracemalloc
+from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -16,7 +19,8 @@ from consonance import (
     enumerate_events,
     space_from_json,
 )
-from consonance.outcome import MAX_GRID_POINTS
+from consonance import Contour, lower_prob, mass_from_belief, outcome
+from consonance.outcome import MAX_GRID_POINTS, SHARED_MAX_K
 
 
 def events(k=6):
@@ -165,3 +169,50 @@ class TestEnumerateEvents:
         big = FiniteOutcomeSpace(tuple(f"L{i}" for i in range(21)))
         with pytest.raises(SpaceTooLarge):
             list(enumerate_events(big))
+
+
+class TestSharedEvents:
+    """Up to ``SHARED_MAX_K`` outcomes, every enumeration yields one shared
+    tuple of events per K."""
+
+    @pytest.mark.parametrize("k", [1, 2, 7, SHARED_MAX_K])
+    def test_two_enumerations_yield_the_same_objects(self, k):
+        labels = FiniteOutcomeSpace(tuple(range(k)))
+        first = list(enumerate_events(labels))
+        again = list(enumerate_events(GridOutcomeSpace(0.0, 1.0, k) if k >= 2 else labels))
+        assert all(a is b for a, b in zip(first, again)) and len(first) == len(again) == 1 << k
+        assert first == [Event.from_mask(m, k) for m in range(1 << k)]
+
+    def test_a_larger_space_builds_fresh_events(self):
+        space = FiniteOutcomeSpace(tuple(range(SHARED_MAX_K + 1)))
+        a, b = next(enumerate_events(space)), next(enumerate_events(space))
+        assert a == b and a is not b
+
+    def test_every_shared_k_stays_under_a_megabyte(self, monkeypatch):
+        monkeypatch.setattr(outcome, "_shared", {})
+        tracemalloc.start()
+        try:
+            for k in range(1, SHARED_MAX_K + 1):
+                deque(enumerate_events(FiniteOutcomeSpace(tuple(range(k)))), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(outcome._shared) == list(range(1, SHARED_MAX_K + 1))
+        assert peak < 1 << 20
+
+    def test_a_belief_that_reads_indices_repeats_its_masses(self):
+        """Reading ``indices`` fills a slot of a shared event; a later
+        enumeration must see the same sets."""
+        values = (Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), 0)
+        space = FiniteOutcomeSpace(tuple("abcde"))
+        c = Contour(space, values)
+
+        def bel(ev):
+            return 1 - max((v for i, v in enumerate(values) if i not in ev.indices), default=0)
+
+        first = mass_from_belief(bel, space)
+        assert mass_from_belief(bel, space) == first
+        assert first == mass_from_belief(lambda ev: lower_prob(c, ev), space)
+        assert [ev.indices for ev in enumerate_events(space)] == [
+            Event.from_mask(m, 5).indices for m in range(32)
+        ]
